@@ -1,0 +1,109 @@
+"""Pinned output digests: a refactor of the round loop must not move a byte.
+
+Each case runs a small simulation and hashes three things with SHA-256:
+the metrics-CSV bytes, `final_models.tobytes()`, and the newline-joined
+`repr` of every round's `agg_ops_mean` (which the CSV does not carry).
+The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
+build may round differently and need them re-taken from a known-good tree.
+The thresholds are tight enough that the sketch and balance cases see
+partial acceptance, fallbacks and, under attack, verification failures.
+"""
+import hashlib
+
+import pytest
+
+from sketchdfl.aggregation import AggregatorSpec
+from sketchdfl.attacks import AttackSpec
+from sketchdfl.engine import SimConfig, metrics_rows, run_simulation
+from sketchdfl.io import metrics_csv_text
+from sketchdfl.learning import TaskSpec
+from sketchdfl.topology import TopologySpec
+
+
+def golden_config(kind: str, attacked: bool, **overrides) -> SimConfig:
+    base = dict(
+        task=TaskSpec(kind="logistic", features=6, classes=3, samples_per_client=24,
+                      test_samples=60, concentration=0.3),
+        topology=TopologySpec(kind="k-regular", degree=4),
+        aggregator=AggregatorSpec(kind=kind, sketch_size=8, gamma=1.0, kappa=2.0),
+        attack=(AttackSpec(kind="gaussian", sigma=1.0, consistent_sketch=False)
+                if attacked else AttackSpec()),
+        n_nodes=10,
+        byz_fraction=0.3 if attacked else 0.0,
+        rounds=4,
+        local_epochs=1,
+        lr=0.2,
+        batch_size=8,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+CASES = {
+    "sketchfilter-clean": (golden_config("sketchfilter", False), (
+        "d637ef1315bf4c812dd1357aeedfb52b5679be8c41ac20ffff81d85961625d22",
+        "3d5ed8f1399a405cbabcf4d91c09b9fc26639d89caa9736efd74a479e2d5e5a3",
+        "e2728213b925fb4842ca0d307880f3a8be83c791548a8ec33ba5f6e7ad8a44a0",
+    )),
+    "sketchfilter-gaussian": (golden_config("sketchfilter", True), (
+        "a246550f2f7b1a4147abcd0d906f02bab8cdad44d22f44b778042cb3f6ad74d0",
+        "6ddf94fabd3a1c4557c1bacc681cb59d56118977a399cdb2af1629e07b18fe8d",
+        "287456a0b08c09ea3c71d55ba379a39dad8991c8e0108797f29098d9cde0efac",
+    )),
+    "balance-clean": (golden_config("balance", False), (
+        "3f9d828dbca240706d6fc08938754f5c20f84982bf49bb2f1f1da8a0981fec03",
+        "a769964a7fb46aa4bc0182ec0f309081c03d09ea9f8d4d3b1c77cef716c909cd",
+        "df5d2c1589f59d63a7b843cc638ea10630c08ccd05eb4d6646c1ecadb9d64af4",
+    )),
+    "balance-gaussian": (golden_config("balance", True), (
+        "fec5650ec51b809b8d034ba3bd98ac71b4e29b58c847cb9c00614327ee9d7664",
+        "d0e484faff9279bd46160efb7bdd0d04d3c189496792cf486d0b00fa6c9c5e16",
+        "42e18dc56de812dccffee5e21c25db915b40fe547474f270d28d4b1c578c37c7",
+    )),
+    "dfedavg-clean": (golden_config("dfedavg", False), (
+        "b695d8671df90066764737a61b8fd58849d8c319fed4b3299347126aba1bb4ff",
+        "02ada3347cfc5d03b80fef1920beb4f8fde8b6e1d1e22b099b6d7e2fac14fea0",
+        "b38ac5d8fc7667469162271f59ed4bd61cb41d19fe5ed986c46f6424fa7f1688",
+    )),
+    "dfedavg-gaussian": (golden_config("dfedavg", True), (
+        "4f00ffcbf02c2c792e4266c736575eb7c93677454e4eddd1b8e70fcc02f8fd82",
+        "65967ce35c24a5e40e86108ef8059fbc11a86607726a93beaf182f3360bf56c6",
+        "b38ac5d8fc7667469162271f59ed4bd61cb41d19fe5ed986c46f6424fa7f1688",
+    )),
+    "krum-clean": (golden_config("krum", False), (
+        "30d619dc0b4d89eb06f9ba8513cf9558d2ddc878f12051c172d40363864e61df",
+        "c2e5c760ed34631f8aa0ff6e1d2498ed338ba7b2f9f860192ee960d2805b1e7a",
+        "843cab5822b63e0c0f387784bca082e4112bc4429897b20853d7d9a33976390d",
+    )),
+    "krum-gaussian": (golden_config("krum", True), (
+        "e9d61ea983e9b5d702915482b8c91073a3ad71d55e448e750f67244f4d3a3475",
+        "a48710c1ff79e9fcce61d204ea4d4618458e374f47640cfcba233b65bcdca658",
+        "843cab5822b63e0c0f387784bca082e4112bc4429897b20853d7d9a33976390d",
+    )),
+    "sketchfilter-gaussian-unverified": (golden_config("sketchfilter", True, verification=False), (
+        "05ef08b16c57a92d75e3436dcdd3a3ef652058693b20db79a935ce606f0c6e25",
+        "a91f4daca5198e1001f1df0ca89827bb7415b3c153e122b042ce2438cb8f07da",
+        "5420185d07e46eaa0daebdaed85649e9e226c82f6448ed31acbd37721334d2f0",
+    )),
+    # same digests as "sketchfilter-gaussian": the thread budget changes nothing
+    "sketchfilter-gaussian-threads2": (golden_config("sketchfilter", True, threads=2), (
+        "a246550f2f7b1a4147abcd0d906f02bab8cdad44d22f44b778042cb3f6ad74d0",
+        "6ddf94fabd3a1c4557c1bacc681cb59d56118977a399cdb2af1629e07b18fe8d",
+        "287456a0b08c09ea3c71d55ba379a39dad8991c8e0108797f29098d9cde0efac",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name):
+    config, (csv_digest, models_digest, agg_ops_digest) = CASES[name]
+    result = run_simulation(config, run_id="golden", calibration_table=None)
+    rows = metrics_rows("golden", 0, config.byz_fraction, result.metrics)
+    agg_ops = "\n".join(repr(m.agg_ops_mean) for m in result.metrics)
+    assert sha(metrics_csv_text(rows).encode()) == csv_digest
+    assert sha(result.final_models.tobytes()) == models_digest
+    assert sha(agg_ops.encode()) == agg_ops_digest
