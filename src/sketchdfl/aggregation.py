@@ -9,7 +9,7 @@ clear message instead of a typo error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ class FilterOutcome:
     fallback_used: bool
     threshold: float
     distances: dict[int, float]
-    verify_failed: list[int] = field(default_factory=list)
 
 
 def adaptive_threshold(gamma: float, kappa: float, t: int, rounds: int, ref_norm: float) -> float:
@@ -175,7 +174,3 @@ def krum_select_index(models: Sequence[np.ndarray], f: int) -> int:
         others.sort()
         scores[i] = others[:keep].sum()
     return int(np.argmin(scores))
-
-
-def krum_select(models: Sequence[np.ndarray], f: int) -> np.ndarray:
-    return models[krum_select_index(models, f)].copy()

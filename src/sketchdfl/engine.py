@@ -1,9 +1,10 @@
 """Round-based protocol orchestration, metrics, and complexity accounting.
 
 One round has four phases: every node trains locally, compromised nodes
-substitute their transmissions, every node screens its neighbors (on
-sketches or full models depending on the aggregator), then fetches,
-verifies, and aggregates the survivors. Phases are bulk-synchronous:
+substitute their transmissions, each sender's model is checked once
+against the sketch it advertised, then every node screens its neighbors
+(on sketches or full models depending on the aggregator) and mixes the
+accepted models that passed the check. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -181,17 +182,6 @@ def account_communication(kind: str, n_neighbors: int, n_accepted: int, d: int, 
     return d * n_neighbors
 
 
-@dataclass
-class _NodeOutcome:
-    model: np.ndarray
-    screen_accepted: list[int]      # post-filter, pre-verification
-    aggregated: list[int]           # survivors that entered the mix
-    verify_failed: list[int]
-    fallback: bool
-    screen_ops: int
-    agg_ops: int
-
-
 def _pmap(fn: Callable[[int], object], n: int, threads: int) -> list:
     if threads <= 1:
         return [fn(i) for i in range(n)]
@@ -296,72 +286,61 @@ def run_simulation(
                         config.attack, params, transmit[j], trained[j]
                     )
 
-        def settle(i: int) -> _NodeOutcome:
+        # Every receiver gets the same (model, sketch) pair from a sender, so
+        # whether j's model matches its advertised sketch is one answer per
+        # sender and round. An attack that sent each receiver a different
+        # message would need this check per edge again.
+        if sketching and config.verification:
+            verified = _pmap(
+                lambda j: verify_model_against_sketch(
+                    params, transmit[j], tx_sketch[j], agg.rel_tol
+                ),
+                config.n_nodes,
+                config.threads,
+            )
+        else:
+            verified = [True] * config.n_nodes
+
+        def settle(i: int) -> tuple[np.ndarray, list[int], bool]:
+            """(new model, screening-accepted neighbors, fallback used)."""
             nbrs = graph.neighbors[i]
-            d = task.dim
-            width = params.width if params else 0
-            s_ops = screening_ops(kind, d, width, len(nbrs))
             if kind == "dfedavg":
                 new = dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs})
-                accepted = list(nbrs)
-                return _NodeOutcome(new, accepted, accepted, [], False,
-                                    s_ops, aggregation_ops(kind, d, width, len(nbrs), len(nbrs)))
+                return new, list(nbrs), False
             if kind == "krum":
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
                 if len(pool) < 3:
                     # krum undefined below 3 models; keep own model
-                    return _NodeOutcome(trained[i].copy(), [], [], [], False, s_ops, d)
+                    return trained[i].copy(), [], False
                 chosen = krum_select_index(pool, _krum_f(config, len(pool)))
-                picked = i if chosen == 0 else nbrs[chosen - 1]
-                accepted = [picked]
-                return _NodeOutcome(pool[chosen].copy(), accepted, accepted, [], False,
-                                    s_ops, aggregation_ops(kind, d, width, 1, 1))
-            if kind == "balance":
+                return pool[chosen].copy(), [i if chosen == 0 else nbrs[chosen - 1]], False
+            if sketching:
+                out = sketch_filter(
+                    own_sketch[i], {j: tx_sketch[j] for j in nbrs},
+                    agg.gamma, agg.kappa, t, config.rounds,
+                )
+            else:
                 out = balance_filter(
                     trained[i], {j: transmit[j] for j in nbrs},
                     agg.gamma, agg.kappa, t, config.rounds,
                 )
-                chosen = {j: transmit[j] for j in out.accepted}
-                new = aggregate_mixed(trained[i], chosen, agg.alpha) if chosen else trained[i].copy()
-                return _NodeOutcome(new, out.accepted, out.accepted, [], out.fallback_used,
-                                    s_ops, aggregation_ops(kind, d, width, len(chosen), len(chosen)))
-            out = sketch_filter(
-                own_sketch[i], {j: tx_sketch[j] for j in nbrs},
-                agg.gamma, agg.kappa, t, config.rounds,
-            )
-            survivors, failed = [], []
-            for j in out.accepted:
-                if not config.verification or verify_model_against_sketch(
-                    params, transmit[j], tx_sketch[j], agg.rel_tol
-                ):
-                    survivors.append(j)
-                else:
-                    failed.append(j)
-            chosen = {j: transmit[j] for j in survivors}
+            chosen = {j: transmit[j] for j in out.accepted if verified[j]}
             new = aggregate_mixed(trained[i], chosen, agg.alpha) if chosen else trained[i].copy()
-            return _NodeOutcome(new, out.accepted, survivors, failed, out.fallback_used,
-                                s_ops,
-                                aggregation_ops(kind, d, width, len(out.accepted), len(survivors)))
+            return new, out.accepted, out.fallback_used
 
-        outcomes = _pmap(settle, config.n_nodes, config.threads)
-        models = [o.model for o in outcomes]
+        models, accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
 
+        # modelled costs are per receiver: each node pays for its own fetches
+        # and checks, whichever sender they reach
+        d = task.dim
+        width = params.width if params else 0
+        survivors = {i: [j for j in accepted[i] if verified[j]] for i in honest}
         # outbound accounting: uploads happen for every fetched (pre-verify) model
         uploads = [0] * config.n_nodes
         if sketching:
-            for o in outcomes:
-                for j in o.screen_accepted:
+            for fetched in accepted:
+                for j in fetched:
                     uploads[j] += 1
-        tx = [
-            account_communication(
-                kind,
-                graph.degree(i),
-                uploads[i] if sketching else graph.degree(i),
-                task.dim,
-                params.width if params else 0,
-            )
-            for i in range(config.n_nodes)
-        ]
 
         if config.per_client_eval:
             ter = float(np.mean([
@@ -374,22 +353,36 @@ def run_simulation(
                 for i in honest
             ]))
         fracs = [
-            len(outcomes[i].screen_accepted) / graph.degree(i)
+            len(accepted[i]) / graph.degree(i)
             for i in honest
             if graph.degree(i) > 0
         ]
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
-        byz_taken = sum(len(byz_set & set(outcomes[i].aggregated)) for i in honest)
+        byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(
             round=t,
             mean_ter=ter,
-            params_tx_mean=float(np.mean([tx[i] for i in honest])),
-            screen_ops_mean=float(np.mean([outcomes[i].screen_ops for i in honest])),
+            params_tx_mean=float(np.mean([
+                account_communication(
+                    kind,
+                    graph.degree(i),
+                    uploads[i] if sketching else graph.degree(i),
+                    d,
+                    width,
+                )
+                for i in honest
+            ])),
+            screen_ops_mean=float(np.mean([
+                screening_ops(kind, d, width, graph.degree(i)) for i in honest
+            ])),
             accept_frac=float(np.mean(fracs)) if fracs else 0.0,
             byz_accept_frac=byz_taken / byz_slots if byz_slots else 0.0,
-            verify_fail=sum(len(outcomes[i].verify_failed) for i in honest),
-            fallback_count=sum(outcomes[i].fallback for i in honest),
-            agg_ops_mean=float(np.mean([outcomes[i].agg_ops for i in honest])),
+            verify_fail=sum(len(accepted[i]) - len(survivors[i]) for i in honest),
+            fallback_count=sum(fallback[i] for i in honest),
+            agg_ops_mean=float(np.mean([
+                aggregation_ops(kind, d, width, len(accepted[i]), len(survivors[i]))
+                for i in honest
+            ])),
         ))
 
     if run_id is None:

@@ -1,20 +1,16 @@
-"""File formats: metrics/bench CSV, run manifests, datasets, edge lists.
+"""File formats: metrics and bench CSV, run manifests.
 
-Everything here is deterministic text or little-endian binary so emitted
-artifacts diff cleanly and reproduce byte-for-byte across platforms.
+Everything here is deterministic text so emitted artifacts diff cleanly
+and reproduce byte-for-byte across platforms.
 """
 from __future__ import annotations
 
 import csv
 import io as _io
 import json
-import struct
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .learning import ClientData, FederatedData, TaskSpec
 
 CSV_COLUMNS = (
     "run_id",
@@ -81,89 +77,3 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def write_edge_list(path: str | Path, graph) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(graph.edge_list_text())
-
-
-# dataset container format: fixed header then raw little-endian float32
-# blocks, one features+labels pair per client, then the held-out set.
-_MAGIC = b"FLD1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIIII")  # magic, version, n, m, p, test_m, flags
-_FLAG_FLOAT_TARGETS = 1
-
-
-def save_dataset(path: str | Path, data: FederatedData) -> None:
-    """Binary shards plus a JSON sidecar holding the generation spec."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(data.clients)
-    if n == 0:
-        raise ConfigurationError("dataset has no clients")
-    m, p = data.clients[0].features.shape
-    for c in data.clients:
-        if c.features.shape != (m, p) or len(c.labels) != m:
-            raise ConfigurationError("all client shards must share one (m, p) shape")
-    float_targets = data.spec.kind == "quadratic"
-    flags = _FLAG_FLOAT_TARGETS if float_targets else 0
-    with path.open("wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, n, m, p, len(data.test_labels), flags))
-        for c in data.clients:
-            fh.write(c.features.astype("<f4").tobytes())
-            fh.write(c.labels.astype("<f4").tobytes())
-        fh.write(data.test_features.astype("<f4").tobytes())
-        fh.write(data.test_labels.astype("<f4").tobytes())
-    sidecar = {
-        "task_spec": {k: getattr(data.spec, k) for k in data.spec.__dataclass_fields__},
-        "seed": data.seed,
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def load_dataset(path: str | Path) -> FederatedData:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"dataset file not found: {path}")
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise ConfigurationError(f"dataset sidecar not found: {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    spec = TaskSpec(**sidecar["task_spec"])
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ConfigurationError(f"dataset file truncated: {path}")
-    magic, version, n, m, p, test_m, flags = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ConfigurationError(f"bad dataset magic {magic!r} in {path}")
-    if version != _VERSION:
-        raise ConfigurationError(f"unsupported dataset version {version}")
-    float_targets = bool(flags & _FLAG_FLOAT_TARGETS)
-    expected = _HEADER.size + 4 * (n * (m * p + m) + test_m * p + test_m)
-    if len(raw) != expected:
-        raise ConfigurationError(
-            f"dataset payload is {len(raw)} bytes, header implies {expected}"
-        )
-    offset = _HEADER.size
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        return arr.astype(np.float64)
-
-    clients = []
-    for i in range(n):
-        feats = take(m * p).reshape(m, p)
-        labels = take(m)
-        if not float_targets:
-            labels = labels.astype(np.int64)
-        clients.append(ClientData(client_id=i, features=feats, labels=labels))
-    test_features = take(test_m * p).reshape(test_m, p)
-    test_labels = take(test_m)
-    if not float_targets:
-        test_labels = test_labels.astype(np.int64)
-    return FederatedData(clients, test_features, test_labels, spec, sidecar["seed"])

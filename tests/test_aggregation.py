@@ -13,7 +13,6 @@ from sketchdfl.aggregation import (
     balance_filter,
     dfedavg_aggregate,
     gamma_eff,
-    krum_select,
     krum_select_index,
     sketch_filter,
 )
@@ -148,7 +147,6 @@ def test_krum_picks_cluster_member_not_outlier():
     models = cluster + outliers
     idx = krum_select_index(models, f=2)
     assert idx < 5
-    np.testing.assert_array_equal(krum_select(models, 2), models[idx])
 
 
 def test_krum_matches_bruteforce_reference():

@@ -202,7 +202,7 @@ def test_account_communication_validation():
         account_communication("balance", -1, -1, 10, 2)
 
 
-def test_verification_rejects_mismatched_sketches_but_still_bills_upload():
+def test_verification_rejects_mismatched_sketches_but_still_bills_upload(monkeypatch):
     # inconsistent attackers pass screening, get fetched (paid for), then fail
     n, d, k = 6, 8, 8
     cfg = tiny_config(
@@ -210,7 +210,18 @@ def test_verification_rejects_mismatched_sketches_but_still_bills_upload():
         attack=AttackSpec(kind="gaussian", sigma=3.0, consistent_sketch=False),
         aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=k, gamma=1e9),
     )
+    calls = 0
+    verify = engine.verify_model_against_sketch
+
+    def counting_verify(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "verify_model_against_sketch", counting_verify)
     res = run_simulation(cfg, calibration_table=None)
+    # each sender's (model, sketch) pair is checked once a round, not per edge
+    assert calls == n * cfg.rounds
     assert len(res.manifest["byzantine_nodes"]) == 1
     honest_count = n - 1
     for m in res.metrics:
@@ -223,6 +234,8 @@ def test_verification_rejects_mismatched_sketches_but_still_bills_upload():
         assert m.params_tx_mean == account_communication(
             "sketchfilter", n - 1, n - 1, d, k
         )
+        # ...and so does the modelled check of every fetched model
+        assert m.agg_ops_mean == aggregation_ops("sketchfilter", d, k, n - 1, n - 2)
 
 
 def test_consistent_attacker_survives_verification():

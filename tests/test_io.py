@@ -1,8 +1,6 @@
-"""CSV schemas, manifests, edge lists, and the dataset container."""
+"""CSV schemas and manifests."""
 import json
-import struct
 
-import numpy as np
 import pytest
 
 from sketchdfl.engine import BenchRow
@@ -11,16 +9,11 @@ from sketchdfl.io import (
     BENCH_COLUMNS,
     CSV_COLUMNS,
     bench_csv_text,
-    load_dataset,
     metrics_csv_text,
-    save_dataset,
     write_bench_csv,
-    write_edge_list,
     write_manifest,
     write_metrics_csv,
 )
-from sketchdfl.learning import TaskSpec, generate_federated_data
-from sketchdfl.topology import TopologySpec, build_topology
 
 
 def test_metrics_csv_header_is_the_published_schema():
@@ -68,135 +61,3 @@ def test_manifest_json_is_stable_and_sorted(tmp_path):
     assert text.endswith("\n")
     assert text.index('"alpha"') < text.index('"zeta"')
     assert json.loads(text) == {"zeta": 1, "alpha": {"b": 2, "a": 3}}
-
-
-def test_edge_list_writer(tmp_path):
-    g = build_topology(TopologySpec(kind="ring"), 4)
-    target = tmp_path / "edges.txt"
-    write_edge_list(target, g)
-    assert target.read_text() == "0 1\n0 3\n1 2\n2 3\n"
-
-
-# ---------------------------------------------------------------- datasets
-
-def classification_data():
-    spec = TaskSpec(kind="logistic", features=5, classes=3,
-                    samples_per_client=12, test_samples=9)
-    return generate_federated_data(spec, 4, seed=11)
-
-
-def quadratic_data():
-    spec = TaskSpec(kind="quadratic", features=6, samples_per_client=16,
-                    test_samples=8)
-    return generate_federated_data(spec, 3, seed=7)
-
-
-def test_dataset_round_trip_classification(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    back = load_dataset(target)
-    assert len(back.clients) == 4
-    assert back.seed == 11
-    assert back.spec == data.spec
-    for a, b in zip(data.clients, back.clients):
-        assert b.labels.dtype == np.int64
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_allclose(a.features, b.features, atol=1e-6)
-    np.testing.assert_array_equal(data.test_labels, back.test_labels)
-    np.testing.assert_allclose(data.test_features, back.test_features, atol=1e-6)
-
-
-def test_dataset_round_trip_quadratic_keeps_float_targets(tmp_path):
-    data = quadratic_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    back = load_dataset(target)
-    assert back.clients[0].labels.dtype == np.float64
-    np.testing.assert_allclose(
-        data.clients[0].labels, back.clients[0].labels, atol=1e-6
-    )
-
-
-def test_dataset_header_fields(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    raw = target.read_bytes()
-    magic, version, n, m, p, test_m, flags = struct.Struct("<4sIIIIII").unpack_from(raw)
-    assert magic == b"FLD1"
-    assert (version, n, m, p, test_m, flags) == (1, 4, 12, 5, 9, 0)
-    assert len(raw) == 28 + 4 * (n * (m * p + m) + test_m * p + test_m)
-
-
-def test_dataset_sidecar_records_generation_spec(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    sidecar = json.loads((tmp_path / "shards.bin.json").read_text())
-    assert sidecar["seed"] == 11
-    assert sidecar["task_spec"]["kind"] == "logistic"
-    assert sidecar["task_spec"]["features"] == 5
-
-
-def test_load_rejects_missing_file(tmp_path):
-    with pytest.raises(ConfigurationError, match="not found"):
-        load_dataset(tmp_path / "absent.bin")
-
-
-def test_load_rejects_missing_sidecar(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    (tmp_path / "shards.bin.json").unlink()
-    with pytest.raises(ConfigurationError, match="sidecar"):
-        load_dataset(target)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    raw = bytearray(target.read_bytes())
-    raw[:4] = b"NOPE"
-    target.write_bytes(raw)
-    with pytest.raises(ConfigurationError, match="magic"):
-        load_dataset(target)
-
-
-def test_load_rejects_truncated_payload(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    raw = target.read_bytes()
-    target.write_bytes(raw[:-8])
-    with pytest.raises(ConfigurationError, match="header implies"):
-        load_dataset(target)
-
-
-def test_load_rejects_unknown_version(tmp_path):
-    data = classification_data()
-    target = tmp_path / "shards.bin"
-    save_dataset(target, data)
-    raw = bytearray(target.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")
-    target.write_bytes(raw)
-    with pytest.raises(ConfigurationError, match="version"):
-        load_dataset(target)
-
-
-def test_save_rejects_ragged_shards(tmp_path):
-    data = classification_data()
-    bad = data.clients[1].features[:-1]
-    from sketchdfl.learning import ClientData, FederatedData
-
-    ragged = FederatedData(
-        clients=[data.clients[0],
-                 ClientData(1, bad, data.clients[1].labels[:-1])],
-        test_features=data.test_features,
-        test_labels=data.test_labels,
-        spec=data.spec,
-        seed=data.seed,
-    )
-    with pytest.raises(ConfigurationError, match="share one"):
-        save_dataset(tmp_path / "bad.bin", ragged)
