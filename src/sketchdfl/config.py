@@ -1,121 +1,76 @@
 """Config-file parsing and emission.
 
-The file format is sectioned key=value text (INI) mirroring SimConfig:
-[task], [topology], [aggregator], [attack], [run], [seeds]. An empty file
-is a complete, valid config (all defaults). Unknown sections or keys are
-rejected with an error naming the offending path, and emit_config always
-writes every key, seeds included, so emitted configs replay exactly.
+The file format is sectioned key=value text (INI) mirroring SimConfig, and
+its keys are the config dataclasses' own fields: [task], [topology],
+[aggregator], [attack] and [seeds] hold the fields of TaskSpec,
+TopologySpec, AggregatorSpec, AttackSpec and Seeds, and [run] holds
+SimConfig's scalar fields, with n_nodes spelled `nodes` (the one rename).
+Each value is read by the converter for its field's annotation. An empty
+file is a complete, valid config (all defaults). Unknown sections or keys
+are rejected with an error naming the offending path, and emit_config
+always writes every key, seeds included, in declaration order, so emitted
+configs replay exactly.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, is_dataclass
 from pathlib import Path
+from typing import Callable
 
-from .aggregation import AggregatorSpec
-from .attacks import AttackSpec
-from .engine import Seeds, SimConfig
+from .engine import SimConfig
 from .errors import ConfigurationError
-from .learning import TaskSpec
-from .topology import TopologySpec
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _to_bool(raw: str, path: str) -> bool:
-    try:
-        return _BOOL[raw.strip().lower()]
-    except KeyError:
-        raise ConfigurationError(f"{path}: expected a boolean, got {raw!r}") from None
+def _converter(parse: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
+    def convert(raw: str, path: str):
+        try:
+            return parse(raw.strip())
+        except (KeyError, ValueError):
+            raise ConfigurationError(f"{path}: expected {expected}, got {raw!r}") from None
+
+    return convert
 
 
-def _to_int(raw: str, path: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigurationError(f"{path}: expected an integer, got {raw!r}") from None
-
-
-def _to_float(raw: str, path: str) -> float:
-    try:
-        return float(raw.strip())
-    except ValueError:
-        raise ConfigurationError(f"{path}: expected a number, got {raw!r}") from None
-
-
-def _to_opt_int(raw: str, path: str) -> int | None:
-    if raw.strip().lower() in ("", "none"):
-        return None
-    return _to_int(raw, path)
-
-
-def _to_str(raw: str, path: str) -> str:
-    return raw.strip()
-
-
-# section -> key -> (target dataclass field, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "task": {
-        "kind": ("kind", _to_str),
-        "features": ("features", _to_int),
-        "classes": ("classes", _to_int),
-        "hidden": ("hidden", _to_int),
-        "samples_per_client": ("samples_per_client", _to_int),
-        "test_samples": ("test_samples", _to_int),
-        "concentration": ("concentration", _to_float),
-        "dim": ("dim", _to_int),
-        "separation": ("separation", _to_float),
-        "noise": ("noise", _to_float),
-    },
-    "topology": {
-        "kind": ("kind", _to_str),
-        "p": ("p", _to_float),
-        "degree": ("degree", _to_int),
-    },
-    "aggregator": {
-        "kind": ("kind", _to_str),
-        "gamma": ("gamma", _to_float),
-        "kappa": ("kappa", _to_float),
-        "alpha": ("alpha", _to_float),
-        "krum_f": ("krum_f", _to_opt_int),
-        "sketch_size": ("sketch_size", _to_int),
-        "sketch_seed": ("sketch_seed", _to_opt_int),
-        "rel_tol": ("rel_tol", _to_float),
-    },
-    "attack": {
-        "kind": ("kind", _to_str),
-        "sigma": ("sigma", _to_float),
-        "lam": ("lam", _to_float),
-        "consistent_sketch": ("consistent_sketch", _to_bool),
-    },
-    "run": {
-        "nodes": ("n_nodes", _to_int),
-        "byz_fraction": ("byz_fraction", _to_float),
-        "rounds": ("rounds", _to_int),
-        "local_epochs": ("local_epochs", _to_int),
-        "lr": ("lr", _to_float),
-        "batch_size": ("batch_size", _to_int),
-        "threads": ("threads", _to_int),
-        "verification": ("verification", _to_bool),
-        "per_client_eval": ("per_client_eval", _to_bool),
-    },
-    "seeds": {
-        "data": ("data", _to_int),
-        "topology": ("topology", _to_int),
-        "byzantine": ("byzantine", _to_int),
-        "training": ("training", _to_int),
-        "attack": ("attack", _to_int),
-        "sketch": ("sketch", _to_int),
-    },
+# one converter per field annotation (a string, under postponed evaluation);
+# a config field with any other annotation is refused when the schema is built
+_CONVERTERS = {
+    "str": lambda raw, path: raw.strip(),
+    "int": _converter(int, "an integer"),
+    "float": _converter(float, "a number"),
+    "bool": _converter(lambda s: _BOOL[s.lower()], "a boolean"),
+    "int | None": _converter(lambda s: None if s.lower() in ("", "none") else int(s), "an integer"),
 }
+_RENAMES = {"n_nodes": "nodes"}
 
-_SECTION_TYPES = {
-    "task": TaskSpec,
-    "topology": TopologySpec,
-    "aggregator": AggregatorSpec,
-    "attack": AttackSpec,
-    "seeds": Seeds,
-}
+
+def _keys(fields) -> dict[str, tuple[str, Callable]]:
+    keys = {}
+    for f in fields:
+        if f.type not in _CONVERTERS:
+            raise TypeError(f"config field {f.name!r}: no INI converter for type {f.type!r}")
+        keys[_RENAMES.get(f.name, f.name)] = (f.name, _CONVERTERS[f.type])
+    return keys
+
+
+def _build_schema(cls) -> dict[str, dict[str, tuple[str, Callable]]]:
+    """section -> key -> (field name, converter), in declaration order.
+
+    Each field of cls holding a dataclass is a section named after the
+    field; cls's own scalar fields form [run], placed where the first of
+    them is declared."""
+    sections: dict[str, list] = {}
+    for f in dataclass_fields(cls):
+        if is_dataclass(f.default_factory):
+            sections[f.name] = list(dataclass_fields(f.default_factory))
+        else:
+            sections.setdefault("run", []).append(f)
+    return {section: _keys(fields) for section, fields in sections.items()}
+
+
+_SCHEMA = _build_schema(SimConfig)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> SimConfig:
@@ -140,24 +95,19 @@ def parse_config_text(text: str, origin: str = "<config>") -> SimConfig:
             field_name, convert = _SCHEMA[section][key]
             value = convert(raw, f"{section}.{key}")
             kwargs_by_section[section][field_name] = value
-    def build(section: str, cls):
+
+    def build(section: str, cls, **nested):
         try:
-            return cls(**kwargs_by_section[section])
+            return cls(**kwargs_by_section[section], **nested)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{origin}: [{section}] {exc}") from None
 
-    parts = {section: build(section, cls) for section, cls in _SECTION_TYPES.items()}
-    try:
-        return SimConfig(
-            task=parts["task"],
-            topology=parts["topology"],
-            aggregator=parts["aggregator"],
-            attack=parts["attack"],
-            seeds=parts["seeds"],
-            **kwargs_by_section["run"],
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{origin}: [run] {exc}") from None
+    nested = {
+        f.name: build(f.name, f.default_factory)
+        for f in dataclass_fields(SimConfig)
+        if is_dataclass(f.default_factory)
+    }
+    return build("run", SimConfig, **nested)
 
 
 def parse_config(path: str | Path) -> SimConfig:
@@ -179,41 +129,10 @@ def _render(value) -> str:
 
 def emit_config(config: SimConfig) -> str:
     """Full INI text with every key explicit; parse(emit(c)) == c."""
-    sections: dict[str, list[tuple[str, object]]] = {}
-    for section, keys in _SCHEMA.items():
-        holder = {
-            "task": config.task,
-            "topology": config.topology,
-            "aggregator": config.aggregator,
-            "attack": config.attack,
-            "run": config,
-            "seeds": config.seeds,
-        }[section]
-        sections[section] = [
-            (key, getattr(holder, field_name)) for key, (field_name, _) in keys.items()
-        ]
     lines = []
-    for section, pairs in sections.items():
+    for section, keys in _SCHEMA.items():
+        holder = config if section == "run" else getattr(config, section)
         lines.append(f"[{section}]")
-        for key, value in pairs:
-            lines.append(f"{key} = {_render(value)}")
+        lines.extend(f"{key} = {_render(getattr(holder, name))}" for key, (name, _) in keys.items())
         lines.append("")
     return "\n".join(lines)
-
-
-def _unused_fields_guard() -> None:
-    # keep the schema honest: every dataclass field must be reachable
-    for section, cls in _SECTION_TYPES.items():
-        covered = {field_name for field_name, _ in _SCHEMA[section].values()}
-        actual = {f.name for f in dataclass_fields(cls)}
-        assert covered == actual, (section, covered ^ actual)
-    run_covered = {field_name for field_name, _ in _SCHEMA["run"].values()}
-    run_actual = {
-        f.name
-        for f in dataclass_fields(SimConfig)
-        if f.name not in ("task", "topology", "aggregator", "attack", "seeds")
-    }
-    assert run_covered == run_actual, run_covered ^ run_actual
-
-
-_unused_fields_guard()

@@ -32,6 +32,7 @@ from .aggregation import (
 )
 from .attacks import AttackContext, AttackSpec, apply_attack, attacker_message
 from .errors import ConfigurationError
+from .io import CSV_COLUMNS
 from .learning import (
     TaskSpec,
     generate_federated_data,
@@ -313,7 +314,7 @@ def run_simulation(
                     # krum undefined below 3 models; keep own model
                     return trained[i].copy(), [], False
                 chosen = krum_select_index(pool, _krum_f(config, len(pool)))
-                return pool[chosen].copy(), [i if chosen == 0 else nbrs[chosen - 1]], False
+                return pool[chosen].copy(), [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
                 out = sketch_filter(
                     own_sketch[i], {j: tx_sketch[j] for j in nbrs},
@@ -473,20 +474,10 @@ def sweep(
 
 
 def metrics_rows(run_id: str, seed: int, byz_fraction: float, metrics: list[RoundMetrics]) -> list[tuple]:
+    """CSV rows: the run's identity cells, then the RoundMetrics fields that
+    the remaining CSV_COLUMNS name."""
     return [
-        (
-            run_id,
-            seed,
-            byz_fraction,
-            m.round,
-            m.mean_ter,
-            m.params_tx_mean,
-            m.screen_ops_mean,
-            m.accept_frac,
-            m.byz_accept_frac,
-            m.verify_fail,
-            m.fallback_count,
-        )
+        (run_id, seed, byz_fraction, *(getattr(m, column) for column in CSV_COLUMNS[3:]))
         for m in metrics
     ]
 
@@ -518,8 +509,9 @@ def bench(
     """Op-count scaling report. dims mode grows the padded model dimension
     on a fixed k-regular graph; degree mode grows the k-regular degree at
     fixed dimension. One round each; per-node per-round means reported.
-    A rung whose working set would blow the memory budget aborts the
-    ladder with a truncation marker row instead of running."""
+    The first rung whose working set would blow the memory budget is not
+    run: it gets one zero-cost row per aggregator, marked truncated, and
+    the ladder stops there."""
     if mode not in ("dims", "degree"):
         raise ConfigurationError(f"bench mode must be 'dims' or 'degree', got {mode!r}")
     base = config if config is not None else SimConfig(

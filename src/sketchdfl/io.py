@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 
+# the run's identity, then RoundMetrics fields (engine.metrics_rows reads them by name)
 CSV_COLUMNS = (
     "run_id",
     "seed",
@@ -26,6 +27,7 @@ CSV_COLUMNS = (
     "fallback_count",
 )
 
+# BenchRow fields
 BENCH_COLUMNS = ("mode", "x_value", "aggregator", "screen_ops", "agg_ops", "params_tx")
 
 
@@ -36,44 +38,40 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_text(columns: tuple[str, ...], rows) -> str:
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write(path: str | Path, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def metrics_csv_text(rows: list[tuple]) -> str:
     for row in rows:
         if len(row) != len(CSV_COLUMNS):
             raise ConfigurationError(
                 f"metrics row has {len(row)} cells, schema needs {len(CSV_COLUMNS)}"
             )
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+    return _csv_text(CSV_COLUMNS, rows)
 
 
 def write_metrics_csv(path: str | Path, rows: list[tuple]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(metrics_csv_text(rows))
+    _write(path, metrics_csv_text(rows))
 
 
 def bench_csv_text(rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BENCH_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [r.mode, r.x_value, r.aggregator, _cell(r.screen_ops), _cell(r.agg_ops), _cell(r.params_tx)]
-        )
-    return buf.getvalue()
+    return _csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
 
 
 def write_bench_csv(path: str | Path, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(bench_csv_text(rows))
+    _write(path, bench_csv_text(rows))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -274,6 +274,18 @@ def test_krum_f_override_and_derivation():
     assert engine._krum_f(tiny_config(aggregator=AggregatorSpec(kind="krum")), 10) == 0
 
 
+@pytest.mark.parametrize("chosen, accept_frac", [(0, 0.0), (1, 0.25)])
+def test_krum_accept_frac_counts_only_a_chosen_neighbour(monkeypatch, chosen, accept_frac):
+    # index 0 of the pool is the node's own model: keeping it accepts no neighbour
+    monkeypatch.setattr(engine, "krum_select_index", lambda pool, f: chosen)
+    cfg = tiny_config(
+        aggregator=AggregatorSpec(kind="krum"),
+        topology=TopologySpec(kind="k-regular", degree=4),
+    )
+    res = run_simulation(cfg, calibration_table=None)
+    assert [m.accept_frac for m in res.metrics] == [accept_frac] * cfg.rounds
+
+
 # ------------------------------------------------------------- config guards
 
 def test_simconfig_validation():

@@ -75,12 +75,12 @@ CASES = {
         "b38ac5d8fc7667469162271f59ed4bd61cb41d19fe5ed986c46f6424fa7f1688",
     )),
     "krum-clean": (golden_config("krum", False), (
-        "30d619dc0b4d89eb06f9ba8513cf9558d2ddc878f12051c172d40363864e61df",
+        "8a2be292677c33716fbd9847676531d3d000c5d4d4c1c95f33104eabba59e24a",
         "c2e5c760ed34631f8aa0ff6e1d2498ed338ba7b2f9f860192ee960d2805b1e7a",
         "843cab5822b63e0c0f387784bca082e4112bc4429897b20853d7d9a33976390d",
     )),
     "krum-gaussian": (golden_config("krum", True), (
-        "e9d61ea983e9b5d702915482b8c91073a3ad71d55e448e750f67244f4d3a3475",
+        "c2a66d72c59a2081dff12abeef45975a8637b2db9582936ddace6306dea71a84",
         "a48710c1ff79e9fcce61d204ea4d4618458e374f47640cfcba233b65bcdca658",
         "843cab5822b63e0c0f387784bca082e4112bc4429897b20853d7d9a33976390d",
     )),
