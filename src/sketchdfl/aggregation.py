@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .sketch import Sketch, sketch_distance
+from .sketch import Sketch, _distance, sketch_distance
 
 AGGREGATOR_KINDS = ("dfedavg", "krum", "balance", "sketchfilter", "ubar")
 SKETCH_KINDS = ("sketchfilter",)
@@ -101,10 +101,9 @@ def balance_filter(
     rounds: int,
 ) -> FilterOutcome:
     """Full-precision distance screening against the node's own model."""
-    threshold = adaptive_threshold(gamma, kappa, t, rounds, float(np.linalg.norm(self_model)))
-    distances = {
-        j: float(np.linalg.norm(self_model - w)) for j, w in neighbor_models.items()
-    }
+    buf = np.empty_like(self_model)
+    threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model, out=buf))
+    distances = {j: _distance(self_model, w, out=buf) for j, w in neighbor_models.items()}
     accepted, fallback = _filter_by_distance(distances, threshold)
     return FilterOutcome(accepted, fallback, threshold, distances)
 
@@ -155,6 +154,26 @@ def dfedavg_aggregate(
     return acc / (1 + len(neighbor_models))
 
 
+def _pairwise_sq_distances(stack: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances between the rows of `stack`, bit-identical to
+    `((stack[:, None] - stack[None]) ** 2).sum(axis=2)`.
+
+    Only the upper triangle is computed, then mirrored: b - a is exactly
+    -(a - b), and each row sum is the same pairwise sum as in the broadcast,
+    so the bits match with half the subtractions and an (n - 1, d) buffer
+    instead of an (n, n, d) temporary. Not a Gram-matrix expansion, which
+    rounds differently, and no BLAS, whose bits depend on its thread count.
+    """
+    n = len(stack)
+    sq = np.zeros((n, n))
+    buf = np.empty((n - 1, stack.shape[1]))
+    for i in range(n - 1):
+        diff = np.subtract(stack[i + 1:], stack[i], out=buf[: n - 1 - i])
+        np.multiply(diff, diff, out=diff)
+        sq[i, i + 1:] = sq[i + 1:, i] = np.add.reduce(diff, axis=1)
+    return sq
+
+
 def krum_select_index(models: Sequence[np.ndarray], f: int) -> int:
     """Index of the model whose summed squared distance to its n-f-2
     nearest peers is smallest (first index on ties)."""
@@ -165,8 +184,7 @@ def krum_select_index(models: Sequence[np.ndarray], f: int) -> int:
         raise ConfigurationError(
             f"krum needs at least f+3 = {f + 3} models, got {n}"
         )
-    stack = np.stack(models)
-    sq = ((stack[:, None, :] - stack[None, :, :]) ** 2).sum(axis=2)
+    sq = _pairwise_sq_distances(np.stack(models))
     keep = n - f - 2
     scores = np.empty(n)
     for i in range(n):

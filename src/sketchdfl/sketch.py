@@ -9,6 +9,7 @@ mix application.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -109,6 +110,25 @@ def fold_with_tables(
     return np.bincount(buckets, weights=signs * vector, minlength=width)
 
 
+def _distance(a: np.ndarray, b: np.ndarray | None = None, out: np.ndarray | None = None) -> float:
+    """Euclidean ||a - b|| (||a|| when b is None), exactly
+    `np.sqrt(np.sum((a - b) ** 2))`.
+
+    No BLAS: above about 10,000 elements OpenBLAS's dot product splits the
+    sum across its own threads, so `np.linalg.norm` rounds differently at
+    different BLAS thread counts, and those threads oversubscribe the
+    engine's pool. numpy's pairwise sum depends on the data alone. `out`,
+    shaped like `a`, receives the squared terms, so a caller measuring many
+    vectors against one reuses a single buffer.
+    """
+    if b is None:
+        sq = np.multiply(a, a, out=out)
+    else:
+        sq = np.subtract(a, b, out=out)
+        np.multiply(sq, sq, out=sq)
+    return math.sqrt(np.add.reduce(sq))
+
+
 @dataclass(frozen=True)
 class Sketch:
     """Compressed model: bucket values plus the hash-family fingerprint."""
@@ -117,7 +137,7 @@ class Sketch:
     fingerprint: int
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _distance(self.values)
 
 
 def compute_sketch(params: SketchParams, vector: np.ndarray) -> Sketch:
@@ -138,7 +158,7 @@ def sketch_distance(a: Sketch, b: Sketch) -> float:
         raise ProtocolError(
             "sketch fingerprints differ; sketches come from different hash families"
         )
-    return float(np.linalg.norm(a.values - b.values))
+    return _distance(a.values, b.values)
 
 
 def verify_model_against_sketch(
@@ -158,7 +178,7 @@ def verify_model_against_sketch(
             "claimed sketch fingerprint does not match the local hash family"
         )
     recomputed = compute_sketch(params, vector)
-    gap = float(np.linalg.norm(recomputed.values - claimed.values))
+    gap = _distance(recomputed.values, claimed.values)
     return gap <= rel_tol * max(1.0, claimed.norm())
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sketchdfl.aggregation import (
     AggregatorSpec,
+    _pairwise_sq_distances,
     adaptive_threshold,
     aggregate_mixed,
     balance_filter,
@@ -17,7 +18,7 @@ from sketchdfl.aggregation import (
     sketch_filter,
 )
 from sketchdfl.errors import ConfigurationError, ProtocolError
-from sketchdfl.sketch import SketchParams, compute_sketch
+from sketchdfl.sketch import Sketch, SketchParams, compute_sketch, sketch_distance
 
 
 def test_adaptive_threshold_values():
@@ -169,6 +170,27 @@ def test_krum_matches_bruteforce_reference():
         models = [rng.normal(size=6) for _ in range(rng.integers(4, 9))]
         f = int(rng.integers(0, len(models) - 2))
         assert krum_select_index(models, f) == reference(models, f)
+
+
+def test_krum_pairwise_stage_matches_broadcast_bitwise():
+    # d above OpenBLAS's 10,000-element threading cut-off; the reference is
+    # the (n, n, d) broadcast the triangular stage replaced
+    stack = np.random.default_rng(11).normal(size=(17, 12_000))
+    reference = ((stack[:, None] - stack[None]) ** 2).sum(axis=2)
+    assert _pairwise_sq_distances(stack).tobytes() == reference.tobytes()
+
+
+def test_full_and_sketch_distances_match_sum_of_squares_bitwise():
+    rng = np.random.default_rng(12)
+    me = rng.normal(size=20_000)
+    nbrs = {j: me + rng.normal(scale=j, size=20_000) for j in (1, 2, 3)}
+    out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5)
+    assert out.threshold == 2.0 * np.sqrt(np.sum(me**2))
+    for j, w in nbrs.items():
+        assert out.distances[j] == np.sqrt(np.sum((me - w) ** 2))
+    a, b = Sketch(me, fingerprint=1), Sketch(nbrs[1], fingerprint=1)
+    assert a.norm() == np.sqrt(np.sum(me**2))
+    assert sketch_distance(a, b) == np.sqrt(np.sum((me - nbrs[1]) ** 2))
 
 
 def test_krum_needs_enough_models():

@@ -1,4 +1,6 @@
 """INI config parsing, validation messages, and emission round-trips."""
+from pathlib import Path
+
 import pytest
 
 from sketchdfl.aggregation import AggregatorSpec
@@ -8,6 +10,8 @@ from sketchdfl.engine import Seeds, SimConfig
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.learning import TaskSpec
 from sketchdfl.topology import TopologySpec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_empty_text_is_the_default_config():
@@ -143,9 +147,9 @@ def test_emit_writes_every_key():
 
 
 def test_reference_config_files_parse(tmp_path):
-    cfg = parse_config("configs/default.ini")
+    cfg = parse_config(CONFIGS / "default.ini")
     assert cfg == SimConfig()
-    fixture = parse_config("configs/robustness.ini")
+    fixture = parse_config(CONFIGS / "robustness.ini")
     assert fixture.n_nodes == 20
     assert fixture.task.kind == "logistic"
     assert fixture.aggregator.sketch_size == 256
