@@ -1,10 +1,9 @@
 """Neighbor screening rules and robust aggregation.
 
-Four working aggregators share one calling convention: a time-decaying
+Four aggregators share one calling convention: a time-decaying
 distance filter run on full models (balance) or on sketches
 (sketchfilter), coordinate-free averaging (dfedavg), and nearest-cluster
-selection (krum). "ubar" is recognized so configs naming it fail with a
-clear message instead of a typo error.
+selection (krum).
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .sketch import Sketch, _distance, sketch_distance
 
-AGGREGATOR_KINDS = ("dfedavg", "krum", "balance", "sketchfilter", "ubar")
+AGGREGATOR_KINDS = ("dfedavg", "krum", "balance", "sketchfilter")
 SKETCH_KINDS = ("sketchfilter",)
 
 
@@ -36,11 +35,6 @@ class AggregatorSpec:
         if self.kind not in AGGREGATOR_KINDS:
             raise ConfigurationError(
                 f"unknown aggregator {self.kind!r}, expected one of {AGGREGATOR_KINDS}"
-            )
-        if self.kind == "ubar":
-            raise ConfigurationError(
-                "aggregator 'ubar' is recognized but not implemented; "
-                "choose dfedavg, krum, balance, or sketchfilter"
             )
         if self.gamma <= 0:
             raise ConfigurationError(f"gamma must be > 0, got {self.gamma}")

@@ -7,6 +7,7 @@ compromised node is therefore indistinguishable from an honest one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +37,30 @@ class AttackSpec:
 
 @dataclass
 class AttackContext:
-    """Round-level collusion state shared by all attackers."""
+    """Round-level collusion state shared by all attackers: the honest
+    models in node-id order. Only directed-deviation reads the statistics,
+    so each is computed on first read, once a round."""
 
-    round: int
-    honest_mean: np.ndarray       # mean of honest post-training models
-    honest_direction: np.ndarray  # honest_mean minus the honest mean at round start
+    trained: list[np.ndarray]   # honest post-training models
+    previous: list[np.ndarray]  # the same nodes' models at round start
+
+    @cached_property
+    def honest_mean(self) -> np.ndarray:
+        return _mean(self.trained)
+
+    @cached_property
+    def honest_direction(self) -> np.ndarray:
+        """honest_mean minus the honest mean at round start."""
+        return self.honest_mean - _mean(self.previous)
+
+
+def _mean(rows: list[np.ndarray]) -> np.ndarray:
+    """Row-by-row sum over the count; bitwise np.stack(rows).mean(axis=0)
+    without the (n, d) copy."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
 
 
 def apply_attack(

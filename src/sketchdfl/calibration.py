@@ -10,7 +10,6 @@ sketch.DISTORTION_COEFF so library users never need to re-run this.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +117,3 @@ def read_table(path: str | Path) -> list[CalibrationRow]:
                 )
             )
     return rows
-
-
-def table_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -115,7 +115,7 @@ def _tiny_config(**kw) -> SimConfig:
 def _check_determinism() -> str:
     rows = []
     for threads in (1, 3):
-        res = run_simulation(_tiny_config(threads=threads), run_id="det", calibration_table=None)
+        res = run_simulation(_tiny_config(threads=threads), run_id="det")
         rows.append(metrics_csv_text(metrics_rows("det", 0, 0.0, res.metrics)))
     assert rows[0] == rows[1], "thread budget changed the CSV"
     return "CSV byte-identical across thread budgets 1 and 3"
@@ -123,8 +123,7 @@ def _check_determinism() -> str:
 
 def _check_accounting() -> str:
     wide_open = AggregatorSpec(kind="sketchfilter", sketch_size=8, gamma=1e9)
-    res = run_simulation(_tiny_config(aggregator=wide_open), run_id="acct",
-                         calibration_table=None)
+    res = run_simulation(_tiny_config(aggregator=wide_open), run_id="acct")
     m = res.metrics[0]
     # full graph, threshold wide open: everyone accepts everyone
     want = account_communication("sketchfilter", 5, 5, 8, 8)
@@ -136,8 +135,8 @@ def _check_accounting() -> str:
 def _check_attack_indistinguishable() -> str:
     benign = _tiny_config(byz_fraction=0.3, attack=AttackSpec(kind="none"))
     honest = _tiny_config(byz_fraction=0.0, attack=AttackSpec(kind="none"))
-    a = run_simulation(benign, run_id="x", calibration_table=None)
-    b = run_simulation(honest, run_id="x", calibration_table=None)
+    a = run_simulation(benign, run_id="x")
+    b = run_simulation(honest, run_id="x")
     assert np.array_equal(a.final_models, b.final_models)
     return "kind=none attackers leave the trajectory untouched"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -208,11 +208,7 @@ def _krum_f(config: SimConfig, n_models: int) -> int:
     return max(0, min(f, n_models - 3))
 
 
-def run_simulation(
-    config: SimConfig,
-    run_id: str | None = None,
-    calibration_table: str | None = "calibration/k_epsilon.csv",
-) -> RunResult:
+def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
     """Execute the full protocol for config.rounds rounds.
 
     Returns per-round honest metrics, a manifest sufficient to reproduce
@@ -261,14 +257,7 @@ def run_simulation(
         transmit = list(trained)
         tx_sketch = None
         if attacking:
-            honest_stack = np.stack([trained[i] for i in honest])
-            prev_stack = np.stack([models[i] for i in honest])
-            mean_now = honest_stack.mean(axis=0)
-            ctx = AttackContext(
-                round=t,
-                honest_mean=mean_now,
-                honest_direction=mean_now - prev_stack.mean(axis=0),
-            )
+            ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
             for j in byz:
                 transmit[j] = apply_attack(
                     config.attack, trained[j], ctx,
@@ -388,24 +377,13 @@ def run_simulation(
 
     if run_id is None:
         run_id = f"{kind}-{config.attack.kind}-b{config.byz_fraction:g}"
-    manifest = build_manifest(config, run_id, graph, byz, honest_connected, task, params,
-                              calibration_table)
+    manifest = build_manifest(config, run_id, graph, byz, honest_connected, task, params)
     return RunResult(metrics=metrics, manifest=manifest, final_models=np.stack(models))
 
 
-def build_manifest(config, run_id, graph, byz, honest_connected, task, params,
-                   calibration_table) -> dict:
-    from dataclasses import asdict
-
-    table_digest = None
-    if calibration_table is not None:
-        from pathlib import Path
-
-        path = Path(calibration_table)
-        if path.exists():
-            from .calibration import table_digest as digest_fn
-
-            table_digest = digest_fn(path)
+def build_manifest(config, run_id, graph, byz, honest_connected, task, params) -> dict:
+    """Everything needed to reproduce the run; a function of the config and
+    the code version alone."""
     sketch_info = None
     if params is not None:
         eps = epsilon_hat(params.width)
@@ -427,7 +405,6 @@ def build_manifest(config, run_id, graph, byz, honest_connected, task, params,
         "model_dim": task.dim,
         "metric_name": task.metric_name,
         "sketch": sketch_info,
-        "calibration_table_digest": table_digest,
     }
 
 
@@ -547,8 +524,7 @@ def bench(
                 aggregator=replace(base.aggregator, kind=agg_kind),
                 rounds=1,
             )
-            m = run_simulation(cfg, run_id=f"bench-{mode}-{x_value}-{agg_kind}",
-                               calibration_table=None).metrics[0]
+            m = run_simulation(cfg, run_id=f"bench-{mode}-{x_value}-{agg_kind}").metrics[0]
             rows.append(BenchRow(mode, x_value, agg_kind,
                                  m.screen_ops_mean, m.agg_ops_mean, m.params_tx_mean))
     return rows

@@ -62,7 +62,7 @@ def _fixture_runs(config, kind, fractions, masters, **agg_overrides):
                 seeds=derive_seeds(master, config.seeds.sketch),
                 aggregator=replace(config.aggregator, kind=kind, **agg_overrides),
             )
-            out[(frac, master)] = run_simulation(cfg, calibration_table=None)
+            out[(frac, master)] = run_simulation(cfg)
     return out
 
 
@@ -174,7 +174,7 @@ def test_criterion_05_gamma_infinity_degeneracy():
             n_nodes=n, rounds=rounds, local_epochs=epochs, lr=lr,
             batch_size=batch, seeds=seeds,
         )
-        return run_simulation(cfg, calibration_table=None).final_models
+        return run_simulation(cfg).final_models
 
     sketched = run("sketchfilter")
     full_precision = run("balance")
@@ -266,7 +266,7 @@ def test_criterion_08_strongly_convex_convergence():
     eta = 1.0 / (4.0 * task.lipschitz)
     bound = (1.0 - task.mu * eta) + 0.05
 
-    smooth = run_simulation(replace(probe, lr=eta), calibration_table=None)
+    smooth = run_simulation(replace(probe, lr=eta))
     ters = [m.mean_ter for m in smooth.metrics]
     # skip the clamped head (metric pegged at 1.0) and the numeric floor
     live = [(a, b) for a, b in zip(ters, ters[1:]) if 1e-13 < a < 0.999]
@@ -274,8 +274,7 @@ def test_criterion_08_strongly_convex_convergence():
     contraction_ok = len(ratios) >= 5 and all(r <= bound for r in ratios)
     decreasing_ok = all(r < 1.0 for r in ratios)
 
-    noisy = run_simulation(replace(build(8, 0.1, 1.0, 40), lr=eta),
-                           calibration_table=None)
+    noisy = run_simulation(replace(build(8, 0.1, 1.0, 40), lr=eta))
     tail = [m.mean_ter for m in noisy.metrics[-8:]]
     plateau_ok = min(tail) > 0.01 and max(tail) / min(tail) < 2.0
     separation_ok = ters[-1] < 1e-3
@@ -319,9 +318,8 @@ def test_criterion_10_verification_efficacy(robustness_config):
         seeds=derive_seeds(0, robustness_config.seeds.sketch),
         attack=replace(robustness_config.attack, consistent_sketch=False),
     )
-    guarded = run_simulation(base, calibration_table=None)
-    exposed = run_simulation(replace(base, verification=False),
-                             calibration_table=None)
+    guarded = run_simulation(base)
+    exposed = run_simulation(replace(base, verification=False))
     removed_all = all(m.byz_accept_frac == 0.0 for m in guarded.metrics)
     fired = sum(m.verify_fail for m in guarded.metrics)
     degradation = final_ter(exposed) - final_ter(guarded)
@@ -340,7 +338,6 @@ def test_criterion_11_thread_determinism(robustness_config, sketchfilter_runs):
             seeds=derive_seeds(0, robustness_config.seeds.sketch),
             threads=8,
         ),
-        calibration_table=None,
     )
     a = metrics_csv_text(metrics_rows("r", 0, 0.3, serial.metrics)).encode()
     b = metrics_csv_text(metrics_rows("r", 0, 0.3, pooled.metrics)).encode()

@@ -1,16 +1,39 @@
 """Transmission attacks and their sketch behavior."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sketchdfl.engine as engine
+from sketchdfl.aggregation import AggregatorSpec
 from sketchdfl.attacks import AttackContext, AttackSpec, apply_attack, attacker_message
+from sketchdfl.engine import SimConfig, run_simulation
 from sketchdfl.errors import ConfigurationError
+from sketchdfl.learning import TaskSpec
 from sketchdfl.sketch import SketchParams, verify_model_against_sketch
+from sketchdfl.topology import TopologySpec
 
 
-def ctx(dim=20):
+def honest_models(rng, m, dim):
+    """m models whose magnitudes span 16 decades, so summation order shows."""
+    return [rng.normal(size=dim) * 10.0 ** rng.uniform(-8, 8, size=dim) for _ in range(m)]
+
+
+def ctx(dim=20, m=4, cls=AttackContext):
     rng = np.random.default_rng(0)
-    mean = rng.normal(size=dim)
-    return AttackContext(round=3, honest_mean=mean, honest_direction=rng.normal(size=dim))
+    return cls(honest_models(rng, m, dim), honest_models(rng, m, dim))
+
+
+class Sealed(AttackContext):
+    """A context whose collusion statistics must never be read."""
+
+    @property
+    def honest_mean(self):
+        raise AssertionError("honest_mean was read")
+
+    @property
+    def honest_direction(self):
+        raise AssertionError("honest_direction was read")
 
 
 def test_none_attack_returns_input_unchanged():
@@ -49,6 +72,42 @@ def test_directed_deviation_formula_and_collusion():
     want = c.honest_mean - 2.5 * np.sign(c.honest_direction)
     np.testing.assert_array_equal(out_a, want)
     np.testing.assert_array_equal(out_a, out_b)  # colluding: same vector for all
+
+
+@pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280), (12, 20_000)])
+def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
+    c = ctx(dim, m)
+    spec = AttackSpec(kind="directed-deviation", lam=0.3)
+    out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0))
+    mean_now = np.stack(c.trained).mean(axis=0)
+    direction = mean_now - np.stack(c.previous).mean(axis=0)
+    want = mean_now - 0.3 * np.sign(direction)
+    assert out.tobytes() == want.tobytes()
+    assert c.honest_mean is c.honest_mean  # computed once, then shared by all attackers
+
+
+@pytest.mark.parametrize("kind", ["none", "gaussian"])
+def test_independent_attacks_never_read_collusion_state(kind):
+    w = np.arange(20.0)
+    apply_attack(AttackSpec(kind=kind), w, ctx(cls=Sealed), np.random.default_rng(0))
+
+
+def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
+    monkeypatch.setattr(engine, "AttackContext", Sealed)
+    config = SimConfig(
+        task=TaskSpec(kind="quadratic", features=8, samples_per_client=16, test_samples=16),
+        topology=TopologySpec(kind="full"),
+        aggregator=AggregatorSpec(kind="dfedavg"),
+        attack=AttackSpec(kind="gaussian"),
+        n_nodes=5,
+        byz_fraction=0.4,
+        rounds=2,
+        local_epochs=1,
+        batch_size=8,
+    )
+    run_simulation(config)
+    with pytest.raises(AssertionError, match="honest_mean was read"):
+        run_simulation(replace(config, attack=AttackSpec(kind="directed-deviation")))
 
 
 def test_attack_spec_validation():

@@ -80,6 +80,23 @@ def test_threads_flag_does_not_change_bytes(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() == (out8 / "metrics.csv").read_bytes()
 
 
+def test_manifest_does_not_depend_on_working_directory(tmp_path, monkeypatch):
+    # a calibration table in the working directory must not leak into the run
+    cfg = tiny_file(tmp_path)
+    manifests = []
+    for name, table in (("bare", None), ("calibrated", "k,epsilon_hat,violation_rate\n")):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        if table is not None:
+            (cwd / "calibration").mkdir()
+            (cwd / "calibration" / "k_epsilon.csv").write_text(table)
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out-{name}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.ini")])
     assert code == EXIT_CONFIG

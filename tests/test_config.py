@@ -87,8 +87,8 @@ def test_out_of_range_alpha_names_section_and_field():
         parse_config_text("[aggregator]\nalpha = 1.5\n")
 
 
-def test_ubar_is_recognized_but_not_implemented():
-    with pytest.raises(ConfigurationError, match="recognized but not implemented"):
+def test_ubar_is_an_unknown_aggregator():
+    with pytest.raises(ConfigurationError, match=r"\[aggregator\] unknown aggregator 'ubar'"):
         parse_config_text("[aggregator]\nkind = ubar\n")
 
 

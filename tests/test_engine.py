@@ -1,5 +1,7 @@
 """Round orchestration: determinism, accounting, barriers, sweep, bench."""
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import sketchdfl.engine as engine
 from sketchdfl.aggregation import AggregatorSpec
 from sketchdfl.attacks import AttackSpec
+from sketchdfl.config import parse_config
 from sketchdfl.engine import (
     BenchRow,
     Seeds,
@@ -25,6 +28,8 @@ from sketchdfl.errors import ConfigurationError
 from sketchdfl.io import metrics_csv_text
 from sketchdfl.learning import TaskSpec
 from sketchdfl.topology import TopologySpec, sample_byzantine_nodes
+
+ROBUSTNESS_INI = Path(__file__).resolve().parent.parent / "configs" / "robustness.ini"
 
 
 def tiny_config(**overrides) -> SimConfig:
@@ -53,23 +58,23 @@ def csv_bytes(result) -> bytes:
 # ---------------------------------------------------------------- determinism
 
 def test_identical_configs_give_identical_runs():
-    a = run_simulation(tiny_config(), calibration_table=None)
-    b = run_simulation(tiny_config(), calibration_table=None)
+    a = run_simulation(tiny_config())
+    b = run_simulation(tiny_config())
     assert csv_bytes(a) == csv_bytes(b)
     np.testing.assert_array_equal(a.final_models, b.final_models)
 
 
 @pytest.mark.parametrize("threads", [2, 8])
 def test_thread_budget_does_not_change_output(threads):
-    serial = run_simulation(tiny_config(threads=1), calibration_table=None)
-    pooled = run_simulation(tiny_config(threads=threads), calibration_table=None)
+    serial = run_simulation(tiny_config(threads=1))
+    pooled = run_simulation(tiny_config(threads=threads))
     assert csv_bytes(serial) == csv_bytes(pooled)
     np.testing.assert_array_equal(serial.final_models, pooled.final_models)
 
 
 def test_shuffled_node_processing_order_is_invisible(monkeypatch):
     # barrier semantics: per-phase results may be computed in any order
-    reference = run_simulation(tiny_config(), calibration_table=None)
+    reference = run_simulation(tiny_config())
 
     def scrambled_pmap(fn, n, threads):
         order = list(range(n))
@@ -80,7 +85,7 @@ def test_shuffled_node_processing_order_is_invisible(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "_pmap", scrambled_pmap)
-    shuffled = run_simulation(tiny_config(), calibration_table=None)
+    shuffled = run_simulation(tiny_config())
     assert csv_bytes(reference) == csv_bytes(shuffled)
     np.testing.assert_array_equal(reference.final_models, shuffled.final_models)
 
@@ -96,12 +101,8 @@ def test_node_streams_are_keyed_not_ordered():
 # ------------------------------------------------------------- honest runs
 
 def test_attack_spec_is_inert_without_byzantine_nodes():
-    calm = run_simulation(tiny_config(attack=AttackSpec(kind="none")),
-                          calibration_table=None)
-    armed = run_simulation(
-        tiny_config(attack=AttackSpec(kind="gaussian", sigma=5.0)),
-        calibration_table=None,
-    )
+    calm = run_simulation(tiny_config(attack=AttackSpec(kind="none")))
+    armed = run_simulation(tiny_config(attack=AttackSpec(kind="gaussian", sigma=5.0)))
     np.testing.assert_array_equal(calm.final_models, armed.final_models)
     assert csv_bytes(calm) == csv_bytes(armed)
 
@@ -109,8 +110,8 @@ def test_attack_spec_is_inert_without_byzantine_nodes():
 def test_none_attack_byzantine_nodes_behave_honestly():
     # compromised nodes run the honest protocol internally; with no attack
     # on the wire the model trajectories match the all-honest run exactly
-    honest = run_simulation(tiny_config(), calibration_table=None)
-    marked = run_simulation(tiny_config(byz_fraction=0.3), calibration_table=None)
+    honest = run_simulation(tiny_config())
+    marked = run_simulation(tiny_config(byz_fraction=0.3))
     np.testing.assert_array_equal(honest.final_models, marked.final_models)
 
 
@@ -123,7 +124,7 @@ def test_dfedavg_quadratic_suboptimality_decreases_to_plateau():
         lr=0.5,
         batch_size=64,
     )
-    ters = [m.mean_ter for m in run_simulation(cfg, calibration_table=None).metrics]
+    ters = [m.mean_ter for m in run_simulation(cfg).metrics]
     # the metric clamps at 1.0 until the gap drops below the normalizer
     live = [v for v in ters if 1e-12 < v < 0.999]
     assert len(live) >= 5
@@ -133,7 +134,7 @@ def test_dfedavg_quadratic_suboptimality_decreases_to_plateau():
 
 def test_zero_lr_keeps_models_at_init_under_dfedavg():
     cfg = tiny_config(aggregator=AggregatorSpec(kind="dfedavg"), lr=0.0, rounds=2)
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     first = res.final_models[0]
     for row in res.final_models[1:]:
         np.testing.assert_allclose(row, first, rtol=1e-12)
@@ -146,9 +147,8 @@ def test_per_client_eval_scores_on_local_shards():
     kwargs = dict(task=task,
                   aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=8),
                   lr=0.2)
-    shared = run_simulation(tiny_config(**kwargs), calibration_table=None)
-    local = run_simulation(tiny_config(per_client_eval=True, **kwargs),
-                           calibration_table=None)
+    shared = run_simulation(tiny_config(**kwargs))
+    local = run_simulation(tiny_config(per_client_eval=True, **kwargs))
     np.testing.assert_array_equal(shared.final_models, local.final_models)
     assert shared.metrics[-1].mean_ter != local.metrics[-1].mean_ter
 
@@ -159,7 +159,7 @@ def test_accounting_matches_closed_form_when_everyone_accepts():
     n, d, k = 6, 8, 8
     cfg = tiny_config(aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=k,
                                                 gamma=1e9))
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     expect_tx = account_communication("sketchfilter", n - 1, n - 1, d, k)
     for m in res.metrics:
         assert m.params_tx_mean == expect_tx
@@ -172,7 +172,7 @@ def test_accounting_matches_closed_form_when_everyone_accepts():
 def test_full_precision_accounting(kind):
     n, d = 6, 8
     cfg = tiny_config(aggregator=AggregatorSpec(kind=kind, gamma=1e9))
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     for m in res.metrics:
         assert m.params_tx_mean == account_communication(kind, n - 1, n - 1, d, 0)
         assert m.screen_ops_mean == screening_ops(kind, d, 0, n - 1)
@@ -219,7 +219,7 @@ def test_verification_rejects_mismatched_sketches_but_still_bills_upload(monkeyp
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(engine, "verify_model_against_sketch", counting_verify)
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     # each sender's (model, sketch) pair is checked once a round, not per edge
     assert calls == n * cfg.rounds
     assert len(res.manifest["byzantine_nodes"]) == 1
@@ -244,7 +244,7 @@ def test_consistent_attacker_survives_verification():
         attack=AttackSpec(kind="gaussian", sigma=0.01, consistent_sketch=True),
         aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=8, gamma=1e9),
     )
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     for m in res.metrics:
         assert m.verify_fail == 0
         assert m.byz_accept_frac == 1.0  # tiny offsets sail through at gamma=1e9
@@ -259,7 +259,7 @@ def test_krum_engine_tolerates_gaussian_attack():
         attack=AttackSpec(kind="gaussian", sigma=50.0),
         rounds=4,
     )
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     assert all(m.byz_accept_frac == 0.0 for m in res.metrics)
     assert np.isfinite(res.final_models).all()
 
@@ -282,7 +282,7 @@ def test_krum_accept_frac_counts_only_a_chosen_neighbour(monkeypatch, chosen, ac
         aggregator=AggregatorSpec(kind="krum"),
         topology=TopologySpec(kind="k-regular", degree=4),
     )
-    res = run_simulation(cfg, calibration_table=None)
+    res = run_simulation(cfg)
     assert [m.accept_frac for m in res.metrics] == [accept_frac] * cfg.rounds
 
 
@@ -308,7 +308,7 @@ def test_simconfig_validation():
 def test_sketch_width_must_fit_model():
     cfg = tiny_config(aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=512))
     with pytest.raises(ConfigurationError, match="exceeds model dimension"):
-        run_simulation(cfg, calibration_table=None)
+        run_simulation(cfg)
 
 
 def test_disconnected_honest_subgraph_warns_and_flags():
@@ -325,7 +325,7 @@ def test_disconnected_honest_subgraph_warns_and_flags():
         rounds=1,
     )
     with pytest.warns(RuntimeWarning, match="disconnected"):
-        res = run_simulation(cfg, calibration_table=None)
+        res = run_simulation(cfg)
     assert res.manifest["honest_subgraph_connected"] is False
 
 
@@ -333,7 +333,7 @@ def test_disconnected_honest_subgraph_warns_and_flags():
 
 def test_manifest_reproduces_run_inputs():
     cfg = tiny_config(byz_fraction=0.3)
-    res = run_simulation(cfg, run_id="probe", calibration_table=None)
+    res = run_simulation(cfg, run_id="probe")
     man = res.manifest
     assert man["run_id"] == "probe"
     assert man["config"]["n_nodes"] == 6
@@ -347,17 +347,15 @@ def test_manifest_reproduces_run_inputs():
     assert man["sketch"]["width"] == 8
     assert man["sketch"]["seed"] == 42
     assert man["sketch"]["gamma_eff"] > man["config"]["aggregator"]["gamma"]
-    assert man["calibration_table_digest"] is None
-
-
-def test_manifest_records_calibration_table_digest():
-    res = run_simulation(tiny_config(rounds=1))  # default table path
-    digest = res.manifest["calibration_table_digest"]
-    assert digest is not None and len(digest) == 64
+    # the config and code version are the manifest's only inputs
+    assert set(man) == {
+        "run_id", "code_version", "config", "byzantine_nodes", "honest_subgraph_connected",
+        "topology_digest", "topology_edges", "model_dim", "metric_name", "sketch",
+    }
 
 
 def test_default_run_id_names_the_setup():
-    res = run_simulation(tiny_config(rounds=1), calibration_table=None)
+    res = run_simulation(tiny_config(rounds=1))
     assert res.manifest["run_id"] == "sketchfilter-none-b0"
 
 
@@ -395,11 +393,7 @@ def test_sweep_validates_inputs():
 def test_dfedavg_degrades_with_byzantine_fraction():
     # regression baseline: 9 fractions x 3 seeds on the logistic fixture;
     # the 3-seed mean TER trends up with at most 1pp of saturation wiggle
-    from sketchdfl.config import parse_config
-
-    base = parse_config("configs/robustness.ini")
-    from dataclasses import replace
-
+    base = parse_config(ROBUSTNESS_INI)
     cfg = replace(base, aggregator=replace(base.aggregator, kind="dfedavg"))
     fractions = [round(0.1 * i, 1) for i in range(9)]
     rows, manifests = sweep(cfg, fractions, [0, 1, 2])

@@ -39,6 +39,9 @@ def golden_config(kind: str, attacked: bool, **overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+DIRECTED = AttackSpec(kind="directed-deviation", lam=0.5)
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -89,6 +92,25 @@ CASES = {
         "a91f4daca5198e1001f1df0ca89827bb7415b3c153e122b042ce2438cb8f07da",
         "5420185d07e46eaa0daebdaed85649e9e226c82f6448ed31acbd37721334d2f0",
     )),
+    # directed-deviation: every attacker sends the honest mean minus lam times
+    # the sign of the honest direction. Both filters reject it here (balance's
+    # bytes equal "balance-gaussian"), while dfedavg mixes it into every
+    # neighbor of an attacker, so its models carry the collusion vector's bits.
+    "sketchfilter-directed": (golden_config("sketchfilter", True, attack=DIRECTED), (
+        "9d7d1a91bc2596ec9788c000e304562b5fefc2a6e90695a630ee20ab7e22f872",
+        "5a6ae9237c83ae952b1ace9dba0341fa785bc29a445569e7ff47b2eb335abd5f",
+        "408eaa5726751a54e7f1738e2963a4a7e9ab6f528fbdd35ddfa2f48b03e041c3",
+    )),
+    "balance-directed": (golden_config("balance", True, attack=DIRECTED), (
+        "fec5650ec51b809b8d034ba3bd98ac71b4e29b58c847cb9c00614327ee9d7664",
+        "d0e484faff9279bd46160efb7bdd0d04d3c189496792cf486d0b00fa6c9c5e16",
+        "42e18dc56de812dccffee5e21c25db915b40fe547474f270d28d4b1c578c37c7",
+    )),
+    "dfedavg-directed": (golden_config("dfedavg", True, attack=DIRECTED), (
+        "f43b3e1c6ced09da0258781a4ac7dc9e50c26ef6ecfb5a2c2212ec95f458f5f8",
+        "5eadcbb8cefcf086b00ec4dde2ee8e8a32791565409c42c3e10b66b9366bb35e",
+        "b38ac5d8fc7667469162271f59ed4bd61cb41d19fe5ed986c46f6424fa7f1688",
+    )),
     # same digests as "sketchfilter-gaussian": the thread budget changes nothing
     "sketchfilter-gaussian-threads2": (golden_config("sketchfilter", True, threads=2), (
         "a246550f2f7b1a4147abcd0d906f02bab8cdad44d22f44b778042cb3f6ad74d0",
@@ -101,7 +123,7 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     config, (csv_digest, models_digest, agg_ops_digest) = CASES[name]
-    result = run_simulation(config, run_id="golden", calibration_table=None)
+    result = run_simulation(config, run_id="golden")
     rows = metrics_rows("golden", 0, config.byz_fraction, result.metrics)
     agg_ops = "\n".join(repr(m.agg_ops_mean) for m in result.metrics)
     assert sha(metrics_csv_text(rows).encode()) == csv_digest
