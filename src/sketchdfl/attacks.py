@@ -86,14 +86,16 @@ def attacker_message(
     spec: AttackSpec,
     params: SketchParams,
     transmitted_model: np.ndarray,
-    pre_attack_model: np.ndarray,
-) -> tuple[Sketch, np.ndarray]:
-    """(sketch, model) pair an attacker sends under a sketch protocol.
+    own_sketch: Sketch,
+) -> Sketch:
+    """Sketch an attacker advertises beside its transmitted model under a
+    sketch protocol.
 
     consistent_sketch sends the true sketch of the corrupted model, which
     beats verification and must be caught by distance screening instead;
-    otherwise the attacker advertises the sketch of its innocent-looking
-    pre-attack model and relies on stale trust.
+    otherwise the attacker advertises own_sketch, the sketch of its
+    innocent-looking pre-attack model, and relies on stale trust.
     """
-    source = transmitted_model if spec.consistent_sketch else pre_attack_model
-    return compute_sketch(params, source), transmitted_model
+    if spec.consistent_sketch:
+        return compute_sketch(params, transmitted_model)
+    return own_sketch

@@ -1,10 +1,12 @@
 """Round-based protocol orchestration, metrics, and complexity accounting.
 
 One round has four phases: every node trains locally, compromised nodes
-substitute their transmissions, each sender's model is checked once
-against the sketch it advertised, then every node screens its neighbors
-(on sketches or full models depending on the aggregator) and mixes the
-accepted models that passed the check. Phases are bulk-synchronous:
+substitute their transmissions, each attacker's model is checked once
+against the sketch it advertised (an honest sender's pair matches by
+construction; the modelled agg_ops still bill every receiver's check),
+then every node screens its neighbors (on sketches or full models
+depending on the aggregator) and mixes the accepted models that passed
+the check. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -253,16 +255,15 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             config.threads,
         )
 
-        # Phase 2: what each node puts on the wire
+        # Phase 2: what each node puts on the wire. Every receiver gets the
+        # same (model, sketch) pair from a sender, so whether j's model
+        # matches its advertised sketch is one answer per sender and round;
+        # an attack that sent each receiver a different message would need
+        # this check per edge again. An honest pair matches by construction
+        # (the recompute is bit-identical, a gap of exactly 0), so only
+        # attackers' pairs are checked.
         transmit = list(trained)
-        tx_sketch = None
-        if attacking:
-            ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
-            for j in byz:
-                transmit[j] = apply_attack(
-                    config.attack, trained[j], ctx,
-                    node_stream(config.seeds.attack, t, j, tag=2),
-                )
+        verified = [True] * config.n_nodes
         if sketching:
             own_sketch = _pmap(
                 lambda i: compute_sketch(params, trained[i]),
@@ -270,26 +271,21 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                 config.threads,
             )
             tx_sketch = list(own_sketch)
-            if attacking:
-                for j in byz:
-                    tx_sketch[j], transmit[j] = attacker_message(
-                        config.attack, params, transmit[j], trained[j]
+        if attacking:
+            ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
+            for j in byz:
+                transmit[j] = apply_attack(
+                    config.attack, trained[j], ctx,
+                    node_stream(config.seeds.attack, t, j, tag=2),
+                )
+                if sketching:
+                    tx_sketch[j] = attacker_message(
+                        config.attack, params, transmit[j], own_sketch[j]
                     )
-
-        # Every receiver gets the same (model, sketch) pair from a sender, so
-        # whether j's model matches its advertised sketch is one answer per
-        # sender and round. An attack that sent each receiver a different
-        # message would need this check per edge again.
-        if sketching and config.verification:
-            verified = _pmap(
-                lambda j: verify_model_against_sketch(
-                    params, transmit[j], tx_sketch[j], agg.rel_tol
-                ),
-                config.n_nodes,
-                config.threads,
-            )
-        else:
-            verified = [True] * config.n_nodes
+                    if config.verification:
+                        verified[j] = verify_model_against_sketch(
+                            params, transmit[j], tx_sketch[j], agg.rel_tol
+                        )
 
         def settle(i: int) -> tuple[np.ndarray, list[int], bool]:
             """(new model, screening-accepted neighbors, fallback used)."""
@@ -327,10 +323,9 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
         survivors = {i: [j for j in accepted[i] if verified[j]] for i in honest}
         # outbound accounting: uploads happen for every fetched (pre-verify) model
         uploads = [0] * config.n_nodes
-        if sketching:
-            for fetched in accepted:
-                for j in fetched:
-                    uploads[j] += 1
+        for fetched in accepted:
+            for j in fetched:
+                uploads[j] += 1
 
         if config.per_client_eval:
             ter = float(np.mean([
@@ -342,30 +337,21 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                 test_error_rate(task, models[i], data.test_features, data.test_labels)
                 for i in honest
             ]))
-        fracs = [
-            len(accepted[i]) / graph.degree(i)
-            for i in honest
-            if graph.degree(i) > 0
-        ]
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
         byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(
             round=t,
             mean_ter=ter,
             params_tx_mean=float(np.mean([
-                account_communication(
-                    kind,
-                    graph.degree(i),
-                    uploads[i] if sketching else graph.degree(i),
-                    d,
-                    width,
-                )
+                account_communication(kind, graph.degree(i), uploads[i], d, width)
                 for i in honest
             ])),
             screen_ops_mean=float(np.mean([
                 screening_ops(kind, d, width, graph.degree(i)) for i in honest
             ])),
-            accept_frac=float(np.mean(fracs)) if fracs else 0.0,
+            accept_frac=float(np.mean([
+                len(accepted[i]) / graph.degree(i) for i in honest
+            ])),
             byz_accept_frac=byz_taken / byz_slots if byz_slots else 0.0,
             verify_fail=sum(len(accepted[i]) - len(survivors[i]) for i in honest),
             fallback_count=sum(fallback[i] for i in honest),
@@ -429,6 +415,8 @@ def sweep(
 ) -> tuple[list[tuple], list[dict]]:
     """One run per (fraction, master seed); returns CSV-ready rows and the
     per-run manifests. Rows carry the master seed, not the derived ones."""
+    if not fractions:
+        raise ConfigurationError("sweep needs at least one byzantine fraction")
     for frac in fractions:
         if not 0 <= frac <= 0.8:
             raise ConfigurationError(f"sweep fraction {frac} outside [0, 0.8]")

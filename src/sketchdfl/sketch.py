@@ -191,15 +191,14 @@ def verify_model_against_sketch(
 DISTORTION_COEFF = 6.0
 
 
-def epsilon_hat(width: int, coeff: float | None = None) -> float:
+def epsilon_hat(width: int) -> float:
     """Estimated relative distortion of squared distances at a sketch width.
 
     Clamped below 1 so (1 - eps) stays positive in threshold inflation.
     """
     if width < 1:
         raise ConfigurationError(f"sketch width must be >= 1, got {width}")
-    c = DISTORTION_COEFF if coeff is None else coeff
-    return min(c / float(width) ** 0.5, 0.99)
+    return min(DISTORTION_COEFF / float(width) ** 0.5, 0.99)
 
 
 def default_sketch_width(dim: int) -> int:

@@ -10,7 +10,7 @@ from sketchdfl.attacks import AttackContext, AttackSpec, apply_attack, attacker_
 from sketchdfl.engine import SimConfig, run_simulation
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.learning import TaskSpec
-from sketchdfl.sketch import SketchParams, verify_model_against_sketch
+from sketchdfl.sketch import SketchParams, compute_sketch, verify_model_against_sketch
 from sketchdfl.topology import TopologySpec
 
 
@@ -124,10 +124,10 @@ def test_consistent_sketch_survives_verification():
     rng = np.random.default_rng(11)
     pre = rng.normal(size=200)
     sent = pre + 5.0
-    sk, model = attacker_message(
-        AttackSpec(kind="gaussian", consistent_sketch=True), params, sent, pre)
-    np.testing.assert_array_equal(model, sent)
-    assert verify_model_against_sketch(params, model, sk)
+    sk = attacker_message(
+        AttackSpec(kind="gaussian", consistent_sketch=True), params, sent,
+        compute_sketch(params, pre))
+    assert verify_model_against_sketch(params, sent, sk)
 
 
 def test_inconsistent_sketch_is_caught_by_verification():
@@ -135,7 +135,9 @@ def test_inconsistent_sketch_is_caught_by_verification():
     rng = np.random.default_rng(12)
     pre = rng.normal(size=200)
     sent = pre + 5.0
-    sk, model = attacker_message(
-        AttackSpec(kind="gaussian", consistent_sketch=False), params, sent, pre)
-    assert verify_model_against_sketch(params, pre, sk)  # advertises the innocent model
-    assert not verify_model_against_sketch(params, model, sk)
+    own = compute_sketch(params, pre)
+    sk = attacker_message(
+        AttackSpec(kind="gaussian", consistent_sketch=False), params, sent, own)
+    assert sk is own  # advertises the innocent model's sketch, folded once
+    assert verify_model_against_sketch(params, pre, sk)
+    assert not verify_model_against_sketch(params, sent, sk)

@@ -181,6 +181,16 @@ def test_sweep_fraction_out_of_range_exits_2(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("byz, seeds", [(",", "1"), ("0.0", ",")])
+def test_sweep_empty_list_exits_2(tmp_path, capsys, byz, seeds):
+    cfg = tiny_file(tmp_path)
+    code = main(["sweep", "--config", str(cfg), "--byz", byz, "--seeds", seeds,
+                 "--out", str(tmp_path / "sw")])
+    assert code == EXIT_CONFIG
+    assert "at least one" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
 # ----------------------------------------------------------------- bench
 
 def test_bench_degree_mode_cli(tmp_path, capsys):

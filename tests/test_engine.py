@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sketchdfl.engine as engine
+import sketchdfl.sketch as sketch
 from sketchdfl.aggregation import AggregatorSpec
 from sketchdfl.attacks import AttackSpec
 from sketchdfl.config import parse_config
@@ -210,19 +211,30 @@ def test_verification_rejects_mismatched_sketches_but_still_bills_upload(monkeyp
         attack=AttackSpec(kind="gaussian", sigma=3.0, consistent_sketch=False),
         aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=k, gamma=1e9),
     )
-    calls = 0
+    calls = folds = 0
     verify = engine.verify_model_against_sketch
+    fold = sketch.fold_with_tables
 
     def counting_verify(*args, **kwargs):
         nonlocal calls
         calls += 1
         return verify(*args, **kwargs)
 
+    def counting_fold(*args, **kwargs):
+        nonlocal folds
+        folds += 1
+        return fold(*args, **kwargs)
+
     monkeypatch.setattr(engine, "verify_model_against_sketch", counting_verify)
+    monkeypatch.setattr(sketch, "fold_with_tables", counting_fold)
     res = run_simulation(cfg)
-    # each sender's (model, sketch) pair is checked once a round, not per edge
-    assert calls == n * cfg.rounds
-    assert len(res.manifest["byzantine_nodes"]) == 1
+    byz = len(res.manifest["byzantine_nodes"])
+    assert byz == 1
+    # only attackers' pairs are checked, once a round each: an honest pair
+    # matches by construction, and no pair is checked per edge
+    assert calls == byz * cfg.rounds
+    # each model is sketched once; the only recompute is the attacker's check
+    assert folds == (n + byz) * cfg.rounds
     honest_count = n - 1
     for m in res.metrics:
         # every honest node screens the attacker in (sketch looks honest)...
@@ -387,6 +399,8 @@ def test_sweep_validates_inputs():
         sweep(cfg, [0.9], [0])
     with pytest.raises(ConfigurationError, match="master seed"):
         sweep(cfg, [0.0], [])
+    with pytest.raises(ConfigurationError, match="byzantine fraction"):
+        sweep(cfg, [], [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

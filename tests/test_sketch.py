@@ -164,6 +164,9 @@ def test_verify_accepts_honest_and_rejects_tampered():
     w = rng.normal(size=300)
     claimed = compute_sketch(params, w)
     assert verify_model_against_sketch(params, w, claimed)
+    # the recompute is bit-identical, so an honest pair passes with no
+    # tolerance at all, which is why the engine does not re-check honest senders
+    assert verify_model_against_sketch(params, w, claimed, rel_tol=0.0)
     tampered = w.copy()
     tampered[:50] += 1.0
     assert not verify_model_against_sketch(params, tampered, claimed)
