@@ -3,6 +3,8 @@
 Each case runs a small simulation and hashes three things with SHA-256:
 the metrics-CSV bytes, `final_models.tobytes()`, and the newline-joined
 `repr` of every round's `agg_ops_mean` (which the CSV does not carry).
+The cases cover every aggregator on the logistic task, one quadratic and
+one tiny-mlp case, and per-client evaluation.
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently and need them re-taken from a known-good tree.
 The thresholds are tight enough that the sketch and balance cases see
@@ -40,6 +42,12 @@ def golden_config(kind: str, attacked: bool, **overrides) -> SimConfig:
 
 
 DIRECTED = AttackSpec(kind="directed-deviation", lam=0.5)
+# the other two tasks, each padded past its natural size, with a remainder
+# minibatch (30 samples in batches of 8); tiny-mlp also takes two epochs
+QUADRATIC = TaskSpec(kind="quadratic", features=6, samples_per_client=30, test_samples=60,
+                     concentration=0.5, dim=16)
+TINY_MLP = TaskSpec(kind="tiny-mlp", features=6, classes=3, hidden=4, samples_per_client=30,
+                    test_samples=60, concentration=0.3, dim=60)
 
 
 def sha(data: bytes) -> str:
@@ -117,6 +125,25 @@ CASES = {
         "6ddf94fabd3a1c4557c1bacc681cb59d56118977a399cdb2af1629e07b18fe8d",
         "287456a0b08c09ea3c71d55ba379a39dad8991c8e0108797f29098d9cde0efac",
     )),
+    "quadratic-sketchfilter-gaussian": (
+        golden_config("sketchfilter", True, task=QUADRATIC, lr=0.1), (
+            "3a824f08a76b6e69d1435a59e6b81733eb0b71eed60083d87ebd8bc0188c5712",
+            "5f5b33813ba9ab269f76c45be5dde265a0bd4ce9be756a1752dcc9adc8399bcc",
+            "3fc0dd3251be222ca14ec356dc75f50bd7d65a5107e316b4543880f1fa6ad3d9",
+        )),
+    "tiny-mlp-balance-gaussian": (
+        golden_config("balance", True, task=TINY_MLP, local_epochs=2), (
+            "776a1a0645e21ec3ae5930d3e0a5cb3eb638b48d339642819367cfecc104313d",
+            "8baade63cbd56f8d72534da289f4d4c3830515b262356ceb9256ec6f25b20f29",
+            "84560b4a7a3c9ea8812a8d299dd40a5347ef4405875c7986d6885078c87e303f",
+        )),
+    # models and agg_ops as "sketchfilter-gaussian": only the scoring set moves
+    "sketchfilter-gaussian-per-client-eval": (
+        golden_config("sketchfilter", True, per_client_eval=True), (
+            "99c054c0c41f4ebf230719d9625a69892ffbdb2e425562061e815049c0bc3235",
+            "6ddf94fabd3a1c4557c1bacc681cb59d56118977a399cdb2af1629e07b18fe8d",
+            "287456a0b08c09ea3c71d55ba379a39dad8991c8e0108797f29098d9cde0efac",
+        )),
 }
 
 
