@@ -6,7 +6,10 @@ against the sketch it advertised (an honest sender's pair matches by
 construction; the modelled agg_ops still bill every receiver's check),
 then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
-the check. Phases are bulk-synchronous:
+the check. Models live in one (n, d) array, a row per node. Training is
+one lockstep `local_update` call over the whole stack and evaluation one
+`test_error_rate` call over the honest rows; the thread pool runs
+sketching and settlement. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -103,6 +106,11 @@ class SimConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+        if self.per_client_eval and self.task.kind == "quadratic":
+            raise ConfigurationError(
+                "per_client_eval needs a classification task: the quadratic "
+                "task scores global suboptimality and reads no evaluation set"
+            )
 
 
 @dataclass
@@ -236,23 +244,17 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
     params = _resolve_sketch_params(config, task.dim) if sketching else None
 
     init = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
-    models = [init.copy() for _ in range(config.n_nodes)]
+    models = np.broadcast_to(init, (config.n_nodes, task.dim))  # (n, d), one row per node
     attacking = bool(byz) and config.attack.kind != "none"
+    eval_set = ((data.features[honest], data.labels[honest]) if config.per_client_eval
+                else (data.test_features, data.test_labels))
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
-        trained = _pmap(
-            lambda i: local_update(
-                task,
-                models[i],
-                data.clients[i],
-                config.lr,
-                config.local_epochs,
-                config.batch_size,
-                node_stream(config.seeds.training, t, i, tag=1),
-            ),
-            config.n_nodes,
-            config.threads,
+        trained = local_update(
+            task, models, data.features, data.labels,
+            config.lr, config.local_epochs, config.batch_size,
+            [node_stream(config.seeds.training, t, i, tag=1) for i in range(config.n_nodes)],
         )
 
         # Phase 2: what each node puts on the wire. Every receiver gets the
@@ -287,19 +289,24 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                             params, transmit[j], tx_sketch[j], agg.rel_tol
                         )
 
-        def settle(i: int) -> tuple[np.ndarray, list[int], bool]:
-            """(new model, screening-accepted neighbors, fallback used)."""
+        mixed = np.empty_like(trained)
+
+        def settle(i: int) -> tuple[list[int], bool]:
+            """Writes node i's new model into mixed[i]; returns
+            (screening-accepted neighbors, fallback used)."""
             nbrs = graph.neighbors[i]
             if kind == "dfedavg":
-                new = dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs})
-                return new, list(nbrs), False
+                mixed[i] = dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs})
+                return list(nbrs), False
             if kind == "krum":
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
                 if len(pool) < 3:
                     # krum undefined below 3 models; keep own model
-                    return trained[i].copy(), [], False
+                    mixed[i] = trained[i]
+                    return [], False
                 chosen = krum_select_index(pool, _krum_f(config, len(pool)))
-                return pool[chosen].copy(), [] if chosen == 0 else [nbrs[chosen - 1]], False
+                mixed[i] = pool[chosen]
+                return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
                 out = sketch_filter(
                     own_sketch[i], {j: tx_sketch[j] for j in nbrs},
@@ -311,10 +318,11 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                     agg.gamma, agg.kappa, t, config.rounds,
                 )
             chosen = {j: transmit[j] for j in out.accepted if verified[j]}
-            new = aggregate_mixed(trained[i], chosen, agg.alpha) if chosen else trained[i].copy()
-            return new, out.accepted, out.fallback_used
+            mixed[i] = aggregate_mixed(trained[i], chosen, agg.alpha) if chosen else trained[i]
+            return out.accepted, out.fallback_used
 
-        models, accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
+        accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
+        models = mixed
 
         # modelled costs are per receiver: each node pays for its own fetches
         # and checks, whichever sender they reach
@@ -327,16 +335,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             for j in fetched:
                 uploads[j] += 1
 
-        if config.per_client_eval:
-            ter = float(np.mean([
-                test_error_rate(task, models[i], data.clients[i].features, data.clients[i].labels)
-                for i in honest
-            ]))
-        else:
-            ter = float(np.mean([
-                test_error_rate(task, models[i], data.test_features, data.test_labels)
-                for i in honest
-            ]))
+        ter = float(np.mean(test_error_rate(task, models[honest], *eval_set)))
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
         byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(
@@ -364,7 +363,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
     if run_id is None:
         run_id = f"{kind}-{config.attack.kind}-b{config.byz_fraction:g}"
     manifest = build_manifest(config, run_id, graph, byz, honest_connected, task, params)
-    return RunResult(metrics=metrics, manifest=manifest, final_models=np.stack(models))
+    return RunResult(metrics=metrics, manifest=manifest, final_models=models)
 
 
 def build_manifest(config, run_id, graph, byz, honest_connected, task, params) -> dict:

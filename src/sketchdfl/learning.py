@@ -7,6 +7,13 @@ blobs (the workhorse for robustness experiments), and a one-hidden-layer
 tanh network for a non-convex smoke case. Models are flat float64 vectors
 so sketching and aggregation never care which task produced them; tasks
 may pad with inert trailing coordinates to reach a requested dimension.
+
+A task's `grad` and `error_rate` take one model `(dim,)` or a stack
+`(n, dim)` with matching leading axes on the data, so every node of a
+round trains and is scored in lockstep. Stacks go through `np.matmul`,
+which makes the same BLAS call on each slice as on a single model, so a
+stacked result is bitwise the per-model one. `einsum` does not keep
+those bits, and neither would folding the nodes into one wider product.
 """
 from __future__ import annotations
 
@@ -57,18 +64,14 @@ class TaskSpec:
 
 
 @dataclass
-class ClientData:
-    """One node's shard. labels holds class ids for classification tasks
-    and float regression targets for the quadratic task."""
+class FederatedData:
+    """Client i's shard is features[i] (m, p) and labels[i] (m,): every
+    shard lives in one (n_clients, m, p) array. labels holds class ids for
+    classification tasks and float regression targets for the quadratic
+    task."""
 
-    client_id: int
     features: np.ndarray
     labels: np.ndarray
-
-
-@dataclass
-class FederatedData:
-    clients: list[ClientData]
     test_features: np.ndarray
     test_labels: np.ndarray
     spec: TaskSpec
@@ -94,33 +97,67 @@ def _resolve_dim(spec: TaskSpec) -> tuple[int, int]:
     return spec.dim, natural
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _with_bias(X: np.ndarray) -> np.ndarray:
+    """X with a trailing column of ones, for a whole stack at once."""
+    out = np.empty((*X.shape[:-1], X.shape[-1] + 1))
+    out[..., :-1] = X
+    out[..., -1] = 1.0
+    return out
+
+
+def _minus_one_hot(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Subtract 1 from each row's label entry, in place."""
+    labels = y[..., None] == np.arange(probs.shape[-1])
+    return np.subtract(probs, 1.0, out=probs, where=labels)
+
+
+def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    picked = np.take_along_axis(_softmax(logits), y[..., None].astype(np.int64), axis=-1)
+    return -np.mean(np.log(np.maximum(picked[..., 0], 1e-12)), axis=-1)
+
+
+def _error_fraction(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.mean(np.argmax(logits, axis=-1) != y, axis=-1)
+
+
 class QuadraticTask:
     """Federated least squares: f_i(w) = ||A_i w - b_i||^2 / (2 m_i).
 
     Keeps references to every client shard so the global objective, its
     exact optimum, and the curvature extremes (mu, lipschitz) are available.
     The error metric is normalized suboptimality clamped to [0, 1]; the
-    held-out set is ignored for that metric.
+    held-out set is ignored for that metric, so it has no per-shard score.
     """
 
     kind = "quadratic"
     metric_name = "suboptimality"
 
-    def __init__(self, spec: TaskSpec, clients: list[ClientData]):
-        if not clients:
+    def __init__(self, spec: TaskSpec, data: FederatedData):
+        if not len(data.labels):
             raise ConfigurationError("quadratic task needs at least one client shard")
         self.spec = spec
         self.dim, self.active_dim = _resolve_dim(spec)
-        self._clients = clients
+        self._shards = list(zip(data.features, data.labels))
         p = spec.features
         hessian = np.zeros((p, p))
         rhs = np.zeros(p)
-        for c in clients:
-            m = len(c.labels)
-            hessian += c.features.T @ c.features / m
-            rhs += c.features.T @ c.labels / m
-        hessian /= len(clients)
-        rhs /= len(clients)
+        for X, y in self._shards:
+            m = len(y)
+            hessian += X.T @ X / m
+            rhs += X.T @ y / m
+        hessian /= len(self._shards)
+        rhs /= len(self._shards)
         self.hessian = hessian
         eigvals = np.linalg.eigvalsh(hessian)
         self.mu = float(eigvals[0])
@@ -136,34 +173,27 @@ class QuadraticTask:
     def init_model(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        r = X @ w[: self.spec.features] - y
-        return float(r @ r) / (2 * len(y))
+    def _residual(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """X w - y as a (..., m, 1) column per model."""
+        return X @ w[..., : self.spec.features, None] - y[..., None]
+
+    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = self._residual(w, X, y)
+        return (_T(r) @ r)[..., 0, 0] / (2 * y.shape[-1])
 
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = self.spec.features
-        g = np.zeros(self.dim)
-        g[:p] = X.T @ (X @ w[:p] - y) / len(y)
-        return g
+        """Gradient over the active coordinates (padding has none)."""
+        return (_T(X) @ self._residual(w, X, y) / y.shape[-1])[..., 0]
 
-    def global_loss(self, w: np.ndarray) -> float:
-        return float(
-            np.mean([self.loss(w, c.features, c.labels) for c in self._clients])
-        )
+    def global_loss(self, w: np.ndarray) -> np.ndarray:
+        """Mean loss over the client shards; one value per model."""
+        losses = [self.loss(w, X, y) for X, y in self._shards]
+        return np.mean(np.stack(losses, axis=-1), axis=-1)
 
-    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        gap = self.global_loss(w) - self.optimal_loss
-        return float(min(1.0, max(0.0, gap / (1.0 + abs(self.optimal_loss)))))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _with_bias(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((len(X), 1))])
+    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Suboptimality of each model; X and y are not read."""
+        gap = (self.global_loss(w) - self.optimal_loss) / (1.0 + abs(self.optimal_loss))
+        return np.minimum(1.0, np.fmax(0.0, gap))
 
 
 class LogisticTask:
@@ -179,27 +209,22 @@ class LogisticTask:
 
     def _weights(self, w: np.ndarray) -> np.ndarray:
         s = self.spec
-        return w[: self.active_dim].reshape(s.classes, s.features + 1)
+        return w[..., : self.active_dim].reshape(*w.shape[:-1], s.classes, s.features + 1)
 
     def init_model(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        probs = _softmax(_with_bias(X) @ self._weights(w).T)
-        picked = probs[np.arange(len(y)), y.astype(np.int64)]
-        return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _mean_cross_entropy(_with_bias(X) @ _T(self._weights(w)), y)
 
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient over the active coordinates (padding has none)."""
         Xb = _with_bias(X)
-        probs = _softmax(Xb @ self._weights(w).T)
-        probs[np.arange(len(y)), y.astype(np.int64)] -= 1.0
-        g = np.zeros(self.dim)
-        g[: self.active_dim] = (probs.T @ Xb / len(y)).ravel()
-        return g
+        probs = _minus_one_hot(_softmax(Xb @ _T(self._weights(w))), y)
+        return (_T(probs) @ Xb / y.shape[-1]).reshape(*w.shape[:-1], -1)
 
-    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        pred = np.argmax(_with_bias(X) @ self._weights(w).T, axis=1)
-        return float(np.mean(pred != y.astype(np.int64)))
+    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _error_fraction(_with_bias(X) @ _T(self._weights(w)), y)
 
 
 class TinyMlpTask:
@@ -214,9 +239,9 @@ class TinyMlpTask:
         self._n1 = spec.hidden * (spec.features + 1)
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = self.spec
-        w1 = w[: self._n1].reshape(s.hidden, s.features + 1)
-        w2 = w[self._n1 : self.active_dim].reshape(s.classes, s.hidden + 1)
+        s, lead = self.spec, w.shape[:-1]
+        w1 = w[..., : self._n1].reshape(*lead, s.hidden, s.features + 1)
+        w2 = w[..., self._n1 : self.active_dim].reshape(*lead, s.classes, s.hidden + 1)
         return w1, w2
 
     def init_model(self, rng: np.random.Generator) -> np.ndarray:
@@ -229,36 +254,29 @@ class TinyMlpTask:
         return w
 
     def _forward(self, w, X):
-        w1, w2 = self._unpack(w)
-        hidden = np.tanh(_with_bias(X) @ w1.T)
-        logits = _with_bias(hidden) @ w2.T
-        return hidden, logits
-
-    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        _, logits = self._forward(w, X)
-        probs = _softmax(logits)
-        picked = probs[np.arange(len(y)), y.astype(np.int64)]
-        return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
-
-    def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(bias-augmented X, bias-augmented hidden activations, logits)."""
         w1, w2 = self._unpack(w)
         Xb = _with_bias(X)
-        hidden = np.tanh(Xb @ w1.T)
-        hb = _with_bias(hidden)
-        probs = _softmax(hb @ w2.T)
-        probs[np.arange(len(y)), y.astype(np.int64)] -= 1.0
-        probs /= len(y)
-        g2 = probs.T @ hb
-        back = (probs @ w2[:, :-1]) * (1 - hidden**2)
-        g1 = back.T @ Xb
-        g = np.zeros(self.dim)
-        g[: self._n1] = g1.ravel()
-        g[self._n1 : self.active_dim] = g2.ravel()
-        return g
+        hb = _with_bias(np.tanh(Xb @ _T(w1)))
+        return Xb, hb, hb @ _T(w2)
 
-    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        _, logits = self._forward(w, X)
-        return float(np.mean(np.argmax(logits, axis=1) != y.astype(np.int64)))
+    def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _mean_cross_entropy(self._forward(w, X)[2], y)
+
+    def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient over the active coordinates (padding has none)."""
+        _, w2 = self._unpack(w)
+        Xb, hb, logits = self._forward(w, X)
+        probs = _minus_one_hot(_softmax(logits), y)
+        probs /= y.shape[-1]
+        g2 = _T(probs) @ hb
+        back = (probs @ w2[..., :-1]) * (1 - hb[..., :-1] ** 2)
+        g1 = _T(back) @ Xb
+        lead = w.shape[:-1]
+        return np.concatenate([g1.reshape(*lead, -1), g2.reshape(*lead, -1)], axis=-1)
+
+    def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _error_fraction(self._forward(w, X)[2], y)
 
 
 def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> FederatedData:
@@ -272,44 +290,45 @@ def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> Federa
     if n_clients < 1:
         raise ConfigurationError(f"n_clients must be >= 1, got {n_clients}")
     m, p = spec.samples_per_client, spec.features
+    features = np.empty((n_clients, m, p))
     if spec.kind == "quadratic":
+        labels = np.empty((n_clients, m))
         rng = np.random.Generator(np.random.PCG64(combine64(seed, 1)))
         w_true = rng.normal(size=p)
         drift = spec.concentration**-0.5
-        clients = []
         for i in range(n_clients):
             crng = np.random.Generator(np.random.PCG64(combine64(seed, 2, i)))
-            A = crng.normal(size=(m, p))
+            features[i] = crng.normal(size=(m, p))
             w_i = w_true + drift * crng.normal(size=p)
-            b = A @ w_i + spec.noise * crng.normal(size=m)
-            clients.append(ClientData(client_id=i, features=A, labels=b))
+            labels[i] = features[i] @ w_i + spec.noise * crng.normal(size=m)
         trng = np.random.Generator(np.random.PCG64(combine64(seed, 3)))
         X_t = trng.normal(size=(spec.test_samples, p))
         y_t = X_t @ w_true + spec.noise * trng.normal(size=spec.test_samples)
-        return FederatedData(clients, X_t, y_t, spec, seed)
+        return FederatedData(features, labels, X_t, y_t, spec, seed)
 
     C = spec.classes
     mrng = np.random.Generator(np.random.PCG64(combine64(seed, 1)))
     means = spec.separation * mrng.normal(size=(C, p)) / np.sqrt(p)
     lrng = np.random.Generator(np.random.PCG64(combine64(seed, 2)))
     proportions = lrng.dirichlet(np.full(C, spec.concentration), size=n_clients)
-    clients = []
+    labels = np.empty((n_clients, m), dtype=np.int64)
     for i in range(n_clients):
         crng = np.random.Generator(np.random.PCG64(combine64(seed, 3, i)))
         counts = crng.multinomial(m, proportions[i])
-        labels = np.repeat(np.arange(C), counts)
-        feats = means[labels] + crng.normal(size=(m, p))
+        y = np.repeat(np.arange(C), counts)
+        feats = means[y] + crng.normal(size=(m, p))
         order = crng.permutation(m)
-        clients.append(ClientData(client_id=i, features=feats[order], labels=labels[order]))
+        features[i] = feats[order]
+        labels[i] = y[order]
     trng = np.random.Generator(np.random.PCG64(combine64(seed, 4)))
     y_t = np.arange(spec.test_samples) % C
     X_t = means[y_t] + trng.normal(size=(spec.test_samples, p))
-    return FederatedData(clients, X_t, y_t, spec, seed)
+    return FederatedData(features, labels, X_t, y_t, spec, seed)
 
 
 def make_task(spec: TaskSpec, data: FederatedData):
     if spec.kind == "quadratic":
-        return QuadraticTask(spec, data.clients)
+        return QuadraticTask(spec, data)
     if spec.kind == "logistic":
         return LogisticTask(spec)
     return TinyMlpTask(spec)
@@ -317,38 +336,51 @@ def make_task(spec: TaskSpec, data: FederatedData):
 
 def local_update(
     task,
-    model: np.ndarray,
-    data: ClientData,
+    models: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
     lr: float,
     epochs: int,
     batch_size: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Minibatch SGD from `model`, fresh shuffle each epoch. Never mutates
-    the input. lr=0 is allowed and returns an identical copy."""
+    """Minibatch SGD for n clients in lockstep. Row i of the (n, dim)
+    `models` stack trains on client i's shard, `features[i]` (m, p) and
+    `labels[i]` (m,), and draws a fresh shuffle each epoch from `rngs[i]`,
+    so every row takes exactly the steps it would take alone. Each step
+    makes one `task.grad` call for the whole stack and moves only the
+    active coordinates, whose padding gradient is exactly zero. Returns a
+    new stack and never mutates the input; lr=0 returns an identical copy."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    w = np.array(model, dtype=np.float64, copy=True)
-    m = len(data.labels)
+    # C order keeps each node's row contiguous; a copy of a broadcast start
+    # (every node at one init) would otherwise come out column-major
+    w = np.array(models, dtype=np.float64, order="C")
+    active = w[:, : task.active_dim]
+    n, m = labels.shape
+    rows = np.arange(n)[:, None]
     step = min(batch_size, m)
     for _ in range(epochs):
-        order = rng.permutation(m)
+        order = np.stack([rng.permutation(m) for rng in rngs])
         for start in range(0, m, step):
-            idx = order[start : start + step]
-            w -= lr * task.grad(w, data.features[idx], data.labels[idx])
-    if not np.isfinite(w).all():
-        raise NumericalDivergenceError(
-            f"client {data.client_id} produced non-finite coordinates "
-            f"(lr={lr}, epochs={epochs})"
-        )
+            idx = order[:, start : start + step]
+            active -= lr * task.grad(w, features[rows, idx], labels[rows, idx])
+    for i, row in enumerate(w):
+        if not np.isfinite(row).all():
+            raise NumericalDivergenceError(
+                f"client {i} produced non-finite coordinates "
+                f"(lr={lr}, epochs={epochs})"
+            )
     return w
 
 
-def test_error_rate(task, model: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    if len(y) == 0:
+def test_error_rate(task, models: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The task's error metric for each model of an (n, dim) stack, on one
+    shared set X (N, p), y (N,) or on one set per model, X (n, N, p), y (n, N)."""
+    if y.shape[-1] == 0:
         raise ConfigurationError("empty held-out set")
-    return task.error_rate(model, X, y)
+    return task.error_rate(models, X, y)

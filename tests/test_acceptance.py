@@ -185,11 +185,8 @@ def test_criterion_05_gamma_infinity_degeneracy():
     init = task.init_model(node_stream(seeds.training, 0, 0, tag=0xC0))
     models = [init.copy() for _ in range(n)]
     for t in range(rounds):
-        trained = [
-            local_update(task, models[i], data.clients[i], lr, epochs, batch,
-                         node_stream(seeds.training, t, i, tag=1))
-            for i in range(n)
-        ]
+        trained = local_update(task, models, data.features, data.labels, lr, epochs, batch,
+                               [node_stream(seeds.training, t, i, tag=1) for i in range(n)])
         nxt = []
         for i in range(n):
             acc = np.zeros_like(trained[i])

@@ -131,6 +131,13 @@ def test_unbuildable_topology_exits_3(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_per_client_eval_on_quadratic_exits_2(tmp_path, capsys):
+    # the quadratic metric is global suboptimality: it has no per-shard score
+    cfg = tiny_file(tmp_path, "per_client_eval = true\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "per_client_eval needs a classification task" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_divergence_exits_4(tmp_path, capsys):
     cfg = tiny_file(tmp_path, "lr = 1e150\n")  # overflows within one round

@@ -142,7 +142,7 @@ def test_zero_lr_keeps_models_at_init_under_dfedavg():
 
 
 def test_per_client_eval_scores_on_local_shards():
-    # needs a task whose metric reads the evaluation set (quadratic ignores it)
+    # a classification task: the quadratic one rejects per_client_eval
     task = TaskSpec(kind="logistic", features=7, classes=3,
                     samples_per_client=40, test_samples=90, concentration=0.2)
     kwargs = dict(task=task,
@@ -315,6 +315,8 @@ def test_simconfig_validation():
         tiny_config(batch_size=0)
     with pytest.raises(ConfigurationError, match="threads"):
         tiny_config(threads=0)
+    with pytest.raises(ConfigurationError, match="per_client_eval"):
+        tiny_config(per_client_eval=True)  # quadratic task
 
 
 def test_sketch_width_must_fit_model():

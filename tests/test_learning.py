@@ -16,6 +16,11 @@ from sketchdfl.learning import (
 from sketchdfl.learning import test_error_rate as held_out_error  # dodge collection
 
 
+def train_one(task, w, X, y, lr, epochs, batch_size, rng):
+    """local_update on a stack of one shard."""
+    return local_update(task, w[None], X[None], y[None], lr, epochs, batch_size, [rng])[0]
+
+
 def fd_grad(fn, w, coords, h=1e-6):
     out = {}
     for i in coords:
@@ -37,7 +42,7 @@ def test_gradients_match_finite_differences(kind):
     _, data, task = build(kind, features=6, classes=3, hidden=5, samples_per_client=30)
     rng = np.random.default_rng(1)
     w = rng.normal(0, 0.5, task.dim)
-    X, y = data.clients[0].features, data.clients[0].labels
+    X, y = data.features[0], data.labels[0]
     g = task.grad(w, X, y)
     coords = rng.choice(task.active_dim, size=min(10, task.active_dim), replace=False)
     for i, want in fd_grad(lambda v: task.loss(v, X, y), w, coords).items():
@@ -47,9 +52,9 @@ def test_gradients_match_finite_differences(kind):
 def test_quadratic_optimum_is_stationary_and_minimal():
     _, data, task = build("quadratic", features=8, samples_per_client=40)
     g = np.zeros(task.dim)
-    for c in data.clients:
-        g += task.grad(task.optimum, c.features, c.labels)
-    assert np.linalg.norm(g / len(data.clients)) < 1e-9
+    for X, y in zip(data.features, data.labels):
+        g += task.grad(task.optimum, X, y)
+    assert np.linalg.norm(g / len(data.labels)) < 1e-9
     rng = np.random.default_rng(2)
     for _ in range(5):
         assert task.global_loss(task.optimum + 0.1 * rng.normal(size=task.dim)) > task.optimal_loss
@@ -76,11 +81,11 @@ def test_padding_is_inert():
     assert task.dim == 64 and task.active_dim == 18
     rng = np.random.default_rng(4)
     w = rng.normal(size=64)
-    g = task.grad(w, data.clients[0].features, data.clients[0].labels)
-    assert g[: task.active_dim].any()  # active part moves
-    np.testing.assert_array_equal(g[task.active_dim :], 0.0)
-    w2 = local_update(task, w, data.clients[0], lr=0.1, epochs=2, batch_size=8,
-                      rng=np.random.default_rng(0))
+    g = task.grad(w, data.features[0], data.labels[0])
+    assert g.shape == (task.active_dim,)  # padding has no gradient coordinates
+    assert g.any()
+    w2 = train_one(task, w, data.features[0], data.labels[0], lr=0.1, epochs=2, batch_size=8,
+                   rng=np.random.default_rng(0))
     np.testing.assert_array_equal(w2[task.active_dim :], w[task.active_dim :])
 
 
@@ -95,13 +100,12 @@ def test_generation_is_deterministic_and_client_distinct():
     spec = TaskSpec(kind="logistic", features=10, classes=4, samples_per_client=50)
     a = generate_federated_data(spec, 5, seed=9)
     b = generate_federated_data(spec, 5, seed=9)
-    for ca, cb in zip(a.clients, b.clients):
-        np.testing.assert_array_equal(ca.features, cb.features)
-        np.testing.assert_array_equal(ca.labels, cb.labels)
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.labels, b.labels)
     np.testing.assert_array_equal(a.test_features, b.test_features)
-    assert not np.array_equal(a.clients[0].features, a.clients[1].features)
+    assert not np.array_equal(a.features[0], a.features[1])
     c = generate_federated_data(spec, 5, seed=10)
-    assert not np.array_equal(a.clients[0].features, c.clients[0].features)
+    assert not np.array_equal(a.features[0], c.features[0])
 
 
 def test_low_concentration_skews_labels():
@@ -112,7 +116,7 @@ def test_low_concentration_skews_labels():
         TaskSpec(kind="logistic", features=4, classes=10, samples_per_client=100,
                  concentration=100.0), 20, seed=3)
     def dominant(data):
-        return np.mean([np.bincount(c.labels, minlength=10).max() / 100 for c in data.clients])
+        return np.mean([np.bincount(y, minlength=10).max() / 100 for y in data.labels])
     assert dominant(skewed) > 0.5
     assert dominant(iid) < 0.25
 
@@ -129,8 +133,7 @@ def test_quadratic_concentration_controls_client_drift():
         spec = TaskSpec(kind="quadratic", features=6, samples_per_client=60,
                         concentration=conc)
         data = generate_federated_data(spec, 6, seed=5)
-        opts = [np.linalg.solve(c.features.T @ c.features, c.features.T @ c.labels)
-                for c in data.clients]
+        opts = [np.linalg.solve(X.T @ X, X.T @ y) for X, y in zip(data.features, data.labels)]
         return np.std(np.stack(opts), axis=0).mean()
     assert spread(0.25) > 3 * spread(100.0)
 
@@ -138,41 +141,62 @@ def test_quadratic_concentration_controls_client_drift():
 def test_local_update_full_batch_single_epoch_is_one_gradient_step():
     _, data, task = build("quadratic", features=6, samples_per_client=30)
     w = np.ones(task.dim)
-    c = data.clients[0]
-    got = local_update(task, w, c, lr=0.05, epochs=1, batch_size=10**6,
-                       rng=np.random.default_rng(0))
-    want = w - 0.05 * task.grad(w, c.features, c.labels)
+    X, y = data.features[0], data.labels[0]
+    got = train_one(task, w, X, y, lr=0.05, epochs=1, batch_size=10**6,
+                    rng=np.random.default_rng(0))
+    want = w - 0.05 * task.grad(w, X, y)
     np.testing.assert_array_equal(got, want)
 
 
 def test_local_update_zero_lr_is_identity_and_does_not_mutate():
     _, data, task = build("logistic", features=5, classes=3, samples_per_client=20)
     w = np.full(task.dim, 0.25)
-    got = local_update(task, w, data.clients[0], lr=0.0, epochs=3, batch_size=4,
-                       rng=np.random.default_rng(0))
-    np.testing.assert_array_equal(got, w)
-    assert got is not w
+    stack = np.stack([w, 2 * w])
+    got = local_update(task, stack, data.features[:2], data.labels[:2], lr=0.0, epochs=3,
+                       batch_size=4, rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    np.testing.assert_array_equal(got, stack)
+    np.testing.assert_array_equal(stack, np.stack([w, 2 * w]))
+    assert got is not stack
+    # a broadcast start (every node at one init) still trains into C-ordered
+    # rows, which the per-row sketch and mixing kernels downstream rely on
+    shared = local_update(task, np.broadcast_to(w, (2, task.dim)), data.features[:2],
+                          data.labels[:2], lr=0.1, epochs=1, batch_size=4,
+                          rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    assert shared.flags.c_contiguous
 
 
 def test_local_update_seed_determinism():
     _, data, task = build("logistic", features=5, classes=3, samples_per_client=40)
     w = np.zeros(task.dim)
     runs = [
-        local_update(task, w, data.clients[0], lr=0.1, epochs=2, batch_size=8,
-                     rng=np.random.default_rng(7))
+        train_one(task, w, data.features[0], data.labels[0], lr=0.1, epochs=2, batch_size=8,
+                  rng=np.random.default_rng(7))
         for _ in range(2)
     ]
     np.testing.assert_array_equal(runs[0], runs[1])
-    other = local_update(task, w, data.clients[0], lr=0.1, epochs=2, batch_size=8,
-                         rng=np.random.default_rng(8))
+    other = train_one(task, w, data.features[0], data.labels[0], lr=0.1, epochs=2, batch_size=8,
+                      rng=np.random.default_rng(8))
     assert not np.array_equal(runs[0], other)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_local_update_divergence_names_client():
     _, data, task = build("quadratic", features=6, samples_per_client=30)
     with pytest.raises(NumericalDivergenceError, match="client 0"):
-        local_update(task, np.ones(task.dim), data.clients[0], lr=1e6, epochs=50,
-                     batch_size=10**6, rng=np.random.default_rng(0))
+        train_one(task, np.ones(task.dim), data.features[0], data.labels[0], lr=1e6, epochs=50,
+                  batch_size=10**6, rng=np.random.default_rng(0))
+    # clients 1 and 3 of a stack of four see 10^4 times larger features, so the
+    # shared lr overshoots on their shards only; the lower id is named
+    features = data.features.copy()
+    features[[1, 3]] *= 1e4
+    rngs = [np.random.default_rng(i) for i in range(4)]
+    with pytest.raises(NumericalDivergenceError, match=r"^client 1 produced"):
+        local_update(task, np.zeros((4, task.dim)), features, data.labels, lr=0.05,
+                     epochs=50, batch_size=10**6, rngs=rngs)
+    healthy = local_update(task, np.zeros((2, task.dim)), features[[0, 2]],
+                           data.labels[[0, 2]], lr=0.05, epochs=50, batch_size=10**6,
+                           rngs=rngs[:2])
+    assert np.isfinite(healthy).all()
 
 
 def test_local_update_validation():
@@ -180,11 +204,11 @@ def test_local_update_validation():
     w = np.zeros(task.dim)
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        local_update(task, w, data.clients[0], lr=-0.1, epochs=1, batch_size=4, rng=rng)
+        train_one(task, w, data.features[0], data.labels[0], lr=-0.1, epochs=1, batch_size=4, rng=rng)
     with pytest.raises(ConfigurationError):
-        local_update(task, w, data.clients[0], lr=0.1, epochs=0, batch_size=4, rng=rng)
+        train_one(task, w, data.features[0], data.labels[0], lr=0.1, epochs=0, batch_size=4, rng=rng)
     with pytest.raises(ConfigurationError):
-        local_update(task, w, data.clients[0], lr=0.1, epochs=1, batch_size=0, rng=rng)
+        train_one(task, w, data.features[0], data.labels[0], lr=0.1, epochs=1, batch_size=0, rng=rng)
 
 
 def test_logistic_trains_to_low_error_on_separable_blobs():
@@ -195,8 +219,8 @@ def test_logistic_trains_to_low_error_on_separable_blobs():
     w = task.init_model(np.random.default_rng(0))
     start = held_out_error(task, w, data.test_features, data.test_labels)
     for _ in range(8):
-        w = local_update(task, w, data.clients[0], lr=0.2, epochs=1, batch_size=32,
-                         rng=np.random.default_rng(1))
+        w = train_one(task, w, data.features[0], data.labels[0], lr=0.2, epochs=1, batch_size=32,
+                      rng=np.random.default_rng(1))
     end = held_out_error(task, w, data.test_features, data.test_labels)
     assert start > 0.5  # all-zero model guesses a fixed class
     assert end < 0.1
@@ -241,7 +265,7 @@ def test_quadratic_satisfies_polyak_lojasiewicz_exactly():
     for _ in range(20):
         w = rng.normal(scale=rng.uniform(0.1, 10.0), size=task.dim)
         grad = np.mean(
-            [task.grad(w, c.features, c.labels) for c in data.clients], axis=0
+            [task.grad(w, X, y) for X, y in zip(data.features, data.labels)], axis=0
         )
         lhs = float(grad @ grad)
         rhs = 2.0 * task.mu * (task.global_loss(w) - task.optimal_loss)
@@ -252,16 +276,16 @@ def test_minibatch_gradient_variance_scales_inversely_with_batch():
     spec = TaskSpec(kind="quadratic", features=10, samples_per_client=400)
     data = generate_federated_data(spec, 1, seed=13)
     task = make_task(spec, data)
-    shard = data.clients[0]
+    X, y = data.features[0], data.labels[0]
     rng = np.random.default_rng(17)
     w = rng.normal(size=task.dim)
-    full = task.grad(w, shard.features, shard.labels)
+    full = task.grad(w, X, y)
 
     def variance(batch):
         sq = 0.0
         for _ in range(400):
-            idx = rng.permutation(len(shard.labels))[:batch]
-            g = task.grad(w, shard.features[idx], shard.labels[idx])
+            idx = rng.permutation(len(y))[:batch]
+            g = task.grad(w, X[idx], y[idx])
             sq += float(np.sum((g - full) ** 2))
         return sq / 400
 
