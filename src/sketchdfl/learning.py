@@ -318,7 +318,9 @@ def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> Federa
         y = np.repeat(np.arange(C), counts)
         feats = means[y] + crng.normal(size=(m, p))
         order = crng.permutation(m)
-        features[i] = feats[order]
+        # shuffled straight into the stack; "clip" skips take's buffered copy
+        # and clips nothing, as order is a permutation of range(m)
+        np.take(feats, order, axis=0, out=features[i], mode="clip")
         labels[i] = y[order]
     trng = np.random.Generator(np.random.PCG64(combine64(seed, 4)))
     y_t = np.arange(spec.test_samples) % C
