@@ -123,29 +123,47 @@ def aggregate_mixed(
     self_model: np.ndarray,
     accepted_models: Mapping[int, np.ndarray],
     alpha: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """alpha * self + (1 - alpha) * mean(accepted), summing in ascending
-    node-id order so results are bit-reproducible."""
+    node-id order so results are bit-reproducible. Written into `out` when
+    given (which is returned), else into a new array; both give the same
+    bits."""
     if not 0 <= alpha <= 1:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
     if not accepted_models:
-        if alpha == 1.0:
+        if alpha != 1.0:
+            raise ConfigurationError("empty accepted set needs alpha = 1")
+        if out is None:
             return self_model.copy()
-        raise ConfigurationError("empty accepted set needs alpha = 1")
+        np.copyto(out, self_model)
+        return out
+    # the sum starts from +0.0, not from a copy of the first model, whose
+    # -0.0 would survive where 0.0 + -0.0 gives +0.0
     acc = np.zeros_like(self_model)
     for j in sorted(accepted_models):
         acc += accepted_models[j]
-    return alpha * self_model + (1 - alpha) / len(accepted_models) * acc
+    acc *= (1 - alpha) / len(accepted_models)
+    out = np.multiply(self_model, alpha, out=out)
+    out += acc
+    return out
 
 
 def dfedavg_aggregate(
-    self_model: np.ndarray, neighbor_models: Mapping[int, np.ndarray]
+    self_model: np.ndarray,
+    neighbor_models: Mapping[int, np.ndarray],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform mean over self and every neighbor, no screening."""
-    acc = self_model.copy()
+    """Uniform mean over self and every neighbor, no screening. Written
+    into `out` when given (which is returned, and must not be a neighbor's
+    model), else into a new array; both give the same bits."""
+    if out is None:
+        out = np.empty_like(self_model)
+    np.copyto(out, self_model)
     for j in sorted(neighbor_models):
-        acc += neighbor_models[j]
-    return acc / (1 + len(neighbor_models))
+        out += neighbor_models[j]
+    out /= 1 + len(neighbor_models)
+    return out
 
 
 def _pairwise_sq_distances(stack: np.ndarray) -> np.ndarray:

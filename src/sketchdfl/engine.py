@@ -6,10 +6,10 @@ against the sketch it advertised (an honest sender's pair matches by
 construction; the modelled agg_ops still bill every receiver's check),
 then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
-the check. Models live in one (n, d) array, a row per node. Training is
-one lockstep `local_update` call over the whole stack and evaluation one
-`test_error_rate` call over the honest rows; the thread pool runs
-sketching and settlement. Phases are bulk-synchronous:
+the check. A run holds two (n, d) model stacks: lockstep training writes
+into the spare, and settlement overwrites the round-start stack after
+the attack phase, its last reader. The thread pool runs sketching and
+settlement. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -245,6 +245,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
 
     init = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
     models = np.broadcast_to(init, (config.n_nodes, task.dim))  # (n, d), one row per node
+    spare = np.empty((config.n_nodes, task.dim))
     attacking = bool(byz) and config.attack.kind != "none"
     eval_set = ((data.features[honest], data.labels[honest]) if config.per_client_eval
                 else (data.test_features, data.test_labels))
@@ -255,6 +256,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             task, models, data.features, data.labels,
             config.lr, config.local_epochs, config.batch_size,
             [node_stream(config.seeds.training, t, i, tag=1) for i in range(config.n_nodes)],
+            out=spare,
         )
 
         # Phase 2: what each node puts on the wire. Every receiver gets the
@@ -274,6 +276,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             )
             tx_sketch = list(own_sketch)
         if attacking:
+            # ctx.previous views the round-start rows, which settlement overwrites
             ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
             for j in byz:
                 transmit[j] = apply_attack(
@@ -289,14 +292,14 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                             params, transmit[j], tx_sketch[j], agg.rel_tol
                         )
 
-        mixed = np.empty_like(trained)
+        mixed = models if t else np.empty_like(trained)  # round 0: read-only init broadcast
 
         def settle(i: int) -> tuple[list[int], bool]:
             """Writes node i's new model into mixed[i]; returns
             (screening-accepted neighbors, fallback used)."""
             nbrs = graph.neighbors[i]
             if kind == "dfedavg":
-                mixed[i] = dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs})
+                dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs}, out=mixed[i])
                 return list(nbrs), False
             if kind == "krum":
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
@@ -308,21 +311,23 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
                 mixed[i] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
-                out = sketch_filter(
+                screened = sketch_filter(
                     own_sketch[i], {j: tx_sketch[j] for j in nbrs},
                     agg.gamma, agg.kappa, t, config.rounds,
                 )
             else:
-                out = balance_filter(
+                screened = balance_filter(
                     trained[i], {j: transmit[j] for j in nbrs},
                     agg.gamma, agg.kappa, t, config.rounds,
                 )
-            chosen = {j: transmit[j] for j in out.accepted if verified[j]}
-            mixed[i] = aggregate_mixed(trained[i], chosen, agg.alpha) if chosen else trained[i]
-            return out.accepted, out.fallback_used
+            if chosen := {j: transmit[j] for j in screened.accepted if verified[j]}:
+                aggregate_mixed(trained[i], chosen, agg.alpha, out=mixed[i])
+            else:
+                mixed[i] = trained[i]
+            return screened.accepted, screened.fallback_used
 
         accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
-        models = mixed
+        spare, models = trained, mixed
 
         # modelled costs are per receiver: each node pays for its own fetches
         # and checks, whichever sender they reach
@@ -335,7 +340,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             for j in fetched:
                 uploads[j] += 1
 
-        ter = float(np.mean(test_error_rate(task, models[honest], *eval_set)))
+        ter = float(np.mean(test_error_rate(task, models[:, : task.active_dim][honest], *eval_set)))
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
         byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(

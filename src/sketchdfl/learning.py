@@ -347,23 +347,41 @@ def local_update(
     epochs: int,
     batch_size: int,
     rngs: list[np.random.Generator],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minibatch SGD for n clients in lockstep. Row i of the (n, dim)
     `models` stack trains on client i's shard, `features[i]` (m, p) and
     `labels[i]` (m,), and draws a fresh shuffle each epoch from `rngs[i]`,
     so every row takes exactly the steps it would take alone. Each step
     makes one `task.grad` call for the whole stack and moves only the
-    active coordinates, whose padding gradient is exactly zero. Returns a
-    new stack and never mutates the input; lr=0 returns an identical copy."""
+    active coordinates, whose padding gradient is exactly zero.
+
+    Training happens in a copy and never mutates `models`. Without `out`
+    the copy is a new C-ordered stack; with `out`, an (n, dim) float64
+    array that shares no memory with `models`, it is written into `out`,
+    which is returned, so a caller can reuse one spare stack every round.
+    Either way the result has the same bits; lr=0 returns an identical
+    copy."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    # C order keeps each node's row contiguous; a copy of a broadcast start
-    # (every node at one init) would otherwise come out column-major
-    w = np.array(models, dtype=np.float64, order="C")
+    if out is None:
+        # C order keeps each node's row contiguous; a copy of a broadcast
+        # start (every node at one init) would otherwise come out column-major
+        w = np.array(models, dtype=np.float64, order="C")
+    else:
+        if out.shape != np.shape(models) or out.dtype != np.float64:
+            raise ConfigurationError(
+                f"out must be a float64 stack of shape {np.shape(models)}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        if np.shares_memory(out, models):
+            raise ConfigurationError("out must not share memory with models")
+        np.copyto(out, models)
+        w = out
     active = w[:, : task.active_dim]
     n, m = labels.shape
     rows = np.arange(n)[:, None]
@@ -384,7 +402,10 @@ def local_update(
 
 def test_error_rate(task, models: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The task's error metric for each model of an (n, dim) stack, on one
-    shared set X (N, p), y (N,) or on one set per model, X (n, N, p), y (n, N)."""
+    shared set X (N, p), y (N,) or on one set per model, X (n, N, p), y (n, N).
+
+    Tasks read only `models[..., :task.active_dim]`, so a caller may pass
+    just those columns: the padding never changes a score."""
     if y.shape[-1] == 0:
         raise ConfigurationError("empty held-out set")
     return task.error_rate(models, X, y)

@@ -141,6 +141,60 @@ def test_dfedavg_uniform_mean():
     np.testing.assert_array_equal(dfedavg_aggregate(me, {}), me)
 
 
+def _signed_zero_models(rng, d=64):
+    """Own model and three neighbours with runs of -0.0 and +0.0, where the
+    value a sum starts from decides the sign of a zero result."""
+    models = rng.normal(size=(4, d))
+    models[:, :8] = -0.0
+    models[1:, 8:16] = 0.0
+    models[0, 16:24] = 0.0
+    models[1:, 16:24] = -0.0
+    return models[0], {3: models[3], 1: models[1], 2: models[2]}
+
+
+def _frozen(me, neighbours):
+    return me.tobytes(), {j: w.tobytes() for j, w in neighbours.items()}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_aggregate_mixed_into_out_is_bitwise_the_allocating_call(alpha):
+    me, accepted = _signed_zero_models(np.random.default_rng(5))
+    before = _frozen(me, accepted)
+    want = aggregate_mixed(me, accepted, alpha)
+    # the formula as first written, with every operation spelled out
+    acc = np.zeros_like(me)
+    for j in sorted(accepted):
+        acc += accepted[j]
+    reference = alpha * me + (1 - alpha) / len(accepted) * acc
+    buf = np.full_like(me, np.nan)
+    got = aggregate_mixed(me, accepted, alpha, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes() == reference.tobytes()
+    # every input is -0.0 here, but the sum starts from +0.0
+    assert not np.signbit(want[:8]).any()
+    assert _frozen(me, accepted) == before
+    if alpha == 1.0:
+        buf = np.full_like(me, np.nan)
+        assert aggregate_mixed(me, {}, alpha, out=buf) is buf
+        assert buf.tobytes() == me.tobytes() == aggregate_mixed(me, {}, alpha).tobytes()
+
+
+def test_dfedavg_into_out_is_bitwise_the_allocating_call():
+    me, neighbours = _signed_zero_models(np.random.default_rng(6))
+    before = _frozen(me, neighbours)
+    want = dfedavg_aggregate(me, neighbours)
+    acc = me.copy()
+    for j in sorted(neighbours):
+        acc += neighbours[j]
+    reference = acc / (1 + len(neighbours))
+    buf = np.full_like(me, np.nan)
+    got = dfedavg_aggregate(me, neighbours, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes() == reference.tobytes()
+    assert np.signbit(want[:8]).all() and not np.signbit(want[16:24]).any()
+    assert _frozen(me, neighbours) == before
+
+
 def test_krum_picks_cluster_member_not_outlier():
     rng = np.random.default_rng(2)
     cluster = [rng.normal(0, 0.01, 10) for _ in range(5)]

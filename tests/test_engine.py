@@ -1,5 +1,6 @@
 """Round orchestration: determinism, accounting, barriers, sweep, bench."""
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,6 +423,32 @@ def test_dfedavg_degrades_with_byzantine_fraction():
     means = [float(np.mean(finals[f])) for f in fractions]
     assert all(b >= a - 0.01 for a, b in zip(means, means[1:]))
     assert means[-1] - means[0] >= 0.20
+
+
+# ------------------------------------------------------------- memory
+
+@pytest.mark.parametrize("kind", ["sketchfilter", "balance", "dfedavg", "krum"])
+def test_run_holds_two_model_stacks(kind):
+    # a run keeps the round-start stack and one spare for training; a
+    # third model-sized array per round (a fresh training copy, mixing
+    # output or evaluation gather) would push the peak past 3.5 stacks
+    n, d = 16, 40_000
+    cfg = SimConfig(
+        task=TaskSpec(kind="logistic", dim=d),
+        topology=TopologySpec(kind="k-regular", degree=4),
+        aggregator=AggregatorSpec(kind=kind),
+        attack=AttackSpec(kind="gaussian"),
+        n_nodes=n,
+        byz_fraction=0.25,
+        rounds=3,
+    )
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * d * 8
 
 
 # ------------------------------------------------------------- bench

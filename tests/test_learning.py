@@ -165,6 +165,35 @@ def test_local_update_zero_lr_is_identity_and_does_not_mutate():
     assert shared.flags.c_contiguous
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "tiny-mlp"])
+def test_local_update_into_out_is_bitwise_the_allocating_call(kind):
+    _, data, task = build(kind, features=5, classes=3, hidden=4, samples_per_client=24, dim=200)
+    rng = np.random.default_rng(3)
+    dense, shared = rng.normal(size=(4, task.dim)), rng.normal(size=task.dim)
+    for models in (dense, np.broadcast_to(shared, (4, task.dim))):
+        before = models.tobytes()
+        args = (task, models, data.features, data.labels, 0.05, 2, 8)
+        want = local_update(*args, [np.random.default_rng(i) for i in range(4)])
+        buf = np.full((4, task.dim), np.nan)
+        got = local_update(*args, [np.random.default_rng(i) for i in range(4)], out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        assert models.tobytes() == before
+
+
+def test_local_update_rejects_out_sharing_memory_with_models():
+    _, data, task = build("logistic", features=5, classes=3, samples_per_client=20)
+    models = np.zeros((3, task.dim))
+    args = (task, models, data.features[:3], data.labels[:3], 0.1, 1, 4,
+            [np.random.default_rng(i) for i in range(3)])
+    for out in (models, models[::-1], np.broadcast_to(models, (3, task.dim))):
+        with pytest.raises(ConfigurationError, match="share memory"):
+            local_update(*args, out=out)
+    with pytest.raises(ConfigurationError, match="float64 stack"):
+        local_update(*args, out=np.zeros((2, task.dim)))
+    np.testing.assert_array_equal(models, 0.0)
+
+
 def test_local_update_seed_determinism():
     _, data, task = build("logistic", features=5, classes=3, samples_per_client=40)
     w = np.zeros(task.dim)
