@@ -131,11 +131,11 @@ def aggregate_mixed(
     bits."""
     if not 0 <= alpha <= 1:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
+    if out is None:
+        out = np.empty_like(self_model)
     if not accepted_models:
         if alpha != 1.0:
             raise ConfigurationError("empty accepted set needs alpha = 1")
-        if out is None:
-            return self_model.copy()
         np.copyto(out, self_model)
         return out
     # the sum starts from +0.0, not from a copy of the first model, whose

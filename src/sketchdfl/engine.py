@@ -6,10 +6,10 @@ against the sketch it advertised (an honest sender's pair matches by
 construction; the modelled agg_ops still bill every receiver's check),
 then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
-the check. A run holds two (n, d) model stacks: lockstep training writes
-into the spare, and settlement overwrites the round-start stack after
-the attack phase, its last reader. The thread pool runs sketching and
-settlement. Phases are bulk-synchronous:
+the check. A run holds two (n, d) model stacks in fixed roles: lockstep
+training always writes the spare, and settlement always overwrites the
+round-start stack, after the attack phase, its last reader. The thread
+pool runs sketching and settlement. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -327,7 +327,7 @@ def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
             return screened.accepted, screened.fallback_used
 
         accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
-        spare, models = trained, mixed
+        models = mixed
 
         # modelled costs are per receiver: each node pays for its own fetches
         # and checks, whichever sender they reach

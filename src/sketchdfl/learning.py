@@ -356,12 +356,11 @@ def local_update(
     makes one `task.grad` call for the whole stack and moves only the
     active coordinates, whose padding gradient is exactly zero.
 
-    Training happens in a copy and never mutates `models`. Without `out`
-    the copy is a new C-ordered stack; with `out`, an (n, dim) float64
-    array that shares no memory with `models`, it is written into `out`,
-    which is returned, so a caller can reuse one spare stack every round.
-    Either way the result has the same bits; lr=0 returns an identical
-    copy."""
+    Training happens in a copy and never mutates `models`: the copy is
+    written into `out`, an (n, dim) float64 stack that shares no memory
+    with `models`, and `out` is returned, so a caller can reuse one spare
+    stack every round. Without `out` the copy is a new stack. lr=0 returns
+    an identical copy."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if epochs < 1:
@@ -369,19 +368,11 @@ def local_update(
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if out is None:
-        # C order keeps each node's row contiguous; a copy of a broadcast
-        # start (every node at one init) would otherwise come out column-major
-        w = np.array(models, dtype=np.float64, order="C")
-    else:
-        if out.shape != np.shape(models) or out.dtype != np.float64:
-            raise ConfigurationError(
-                f"out must be a float64 stack of shape {np.shape(models)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        if np.shares_memory(out, models):
-            raise ConfigurationError("out must not share memory with models")
-        np.copyto(out, models)
-        w = out
+        out = np.empty(np.shape(models))
+    if np.shares_memory(out, models):
+        raise ConfigurationError("out must not share memory with models")
+    np.copyto(out, models)
+    w = out
     active = w[:, : task.active_dim]
     n, m = labels.shape
     rows = np.arange(n)[:, None]
