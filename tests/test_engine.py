@@ -1,4 +1,6 @@
 """Round orchestration: determinism, accounting, barriers, sweep, bench."""
+import hashlib
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -404,6 +406,42 @@ def test_sweep_validates_inputs():
         sweep(cfg, [0.0], [])
     with pytest.raises(ConfigurationError, match="byzantine fraction"):
         sweep(cfg, [], [0])
+
+
+SWEEP_CONFIG = SimConfig(
+    task=TaskSpec(kind="logistic", features=6, classes=3, samples_per_client=24,
+                  test_samples=60, concentration=0.3),
+    topology=TopologySpec(kind="k-regular", degree=4),
+    aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=8, gamma=1.0, kappa=2.0),
+    attack=AttackSpec(kind="gaussian", sigma=1.0, consistent_sketch=False),
+    n_nodes=10,
+    rounds=3,
+    local_epochs=1,
+    lr=0.2,
+    batch_size=8,
+)
+# (fractions, masters, SHA-256 of the metrics CSV text, of json.dumps(manifests));
+# duplicate entries still give one run per listed pair
+SWEEP_CASES = {
+    "grid": ([0.0, 0.2, 0.4], [3, 4], (
+        "4e7e54b48ff7a3beed356c1f0dc496f8fb17794ac190cf79764171df66980069",
+        "4bfbf668d1ddf7daea48107647d04332805b78f3eb29599730124c40f210bc8a",
+    )),
+    "duplicates": ([0.2, 0.2], [5, 5], (
+        "11707fd18b1b77e7af4cc3a5620054fb5b083b95711cd3173b76955fb3e39885",
+        "b461a95bcfdfd521727381980019c9c116bce2e7ffa65f88c9ff5da9ba247a47",
+    )),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # byz 0.4 cuts the honest subgraph
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_matches_pinned_digests(name):
+    fractions, masters, (csv_digest, manifests_digest) = SWEEP_CASES[name]
+    rows, manifests = sweep(SWEEP_CONFIG, fractions, masters)
+    assert len(manifests) == len(fractions) * len(masters)
+    assert hashlib.sha256(metrics_csv_text(rows).encode()).hexdigest() == csv_digest
+    assert hashlib.sha256(json.dumps(manifests).encode()).hexdigest() == manifests_digest
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,6 +3,8 @@
 Gradients are checked against central finite differences computed here,
 independent of the analytic implementations.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,42 @@ def test_generation_is_deterministic_and_client_distinct():
     assert not np.array_equal(a.features[0], a.features[1])
     c = generate_federated_data(spec, 5, seed=10)
     assert not np.array_equal(a.features[0], c.features[0])
+
+
+# SHA-256 of features, labels, test_features and test_labels for five
+# clients at seed 29, taken before the generator's output layout changed
+GENERATOR_SPECS = {
+    "logistic": (TaskSpec(kind="logistic", features=7, classes=4, samples_per_client=25,
+                          test_samples=40, concentration=0.5), (
+        "da410b5740a5e0f423dc85eb1c0b478bc441a5581e5a4d626de73642a0849eea",
+        "9f8e84217537338b2a437bd1e0a906425d4a399862787734489ce93dc16e94a3",
+        "0abab74d66633c368e278d7b0d1b3340c263e9f9e56c730e745dedd502f590c6",
+        "df62bf67da549684ae37f6202d158f7f6a9226e093c5c9461e2aa7617755c633",
+    )),
+    "quadratic": (TaskSpec(kind="quadratic", features=6, samples_per_client=30,
+                           test_samples=40, concentration=0.5), (
+        "97f2e8f367f07b0c5143eb6b7cc26ec459d83ad8fb73914841bac0726d23911f",
+        "db66cb70593ee3461d97263a5ff6b2046dafd7d8d77431e752e6d6ef52e18a0f",
+        "9277443759205b90618e4dacce12b2ba953699c7addddd2b62934daf8a04d6e8",
+        "bb4cdff2b193dd9458c4a1e6ffcac2e22506a05d350b814ae1a44e337ef485ad",
+    )),
+    "tiny-mlp": (TaskSpec(kind="tiny-mlp", features=5, classes=3, hidden=4,
+                          samples_per_client=20, test_samples=30, concentration=0.3), (
+        "5de3abc377e57f4f2555e2dd61a42118491a11e3e5ad3186cc7f5e8e972e4228",
+        "5795b149bfd9300d6abb529042a0c2ce2dcd6c3f983fd1c3c7286c52bd4f3fd8",
+        "97a3bfb7e706dc88dc47954b792532bb73140901d9426291b68bd44c2d239d15",
+        "ed509249095e809153e426afcd0edf8205cb06944f3e3289bf67f4901a8be9ee",
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATOR_SPECS))
+def test_generated_data_matches_pinned_digests(kind):
+    spec, digests = GENERATOR_SPECS[kind]
+    data = generate_federated_data(spec, 5, seed=29)
+    arrays = (data.features, data.labels, data.test_features, data.test_labels)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
+    assert got == digests
 
 
 def test_low_concentration_skews_labels():
