@@ -39,6 +39,7 @@ from .attacks import AttackContext, AttackSpec, apply_attack, attacker_message
 from .errors import ConfigurationError
 from .io import CSV_COLUMNS
 from .learning import (
+    FederatedData,
     TaskSpec,
     generate_federated_data,
     local_update,
@@ -218,16 +219,29 @@ def _krum_f(config: SimConfig, n_models: int) -> int:
     return max(0, min(f, n_models - 3))
 
 
-def run_simulation(config: SimConfig, run_id: str | None = None) -> RunResult:
+def run_simulation(
+    config: SimConfig,
+    run_id: str | None = None,
+    data: FederatedData | None = None,
+) -> RunResult:
     """Execute the full protocol for config.rounds rounds.
 
     Returns per-round honest metrics, a manifest sufficient to reproduce
     the run, and the final models. Deterministic in everything including
-    the thread budget.
+    the thread budget. `data`, when given, must be what
+    `generate_federated_data` returns for this config's task, node count
+    and data seed; the run only reads it, so runs may share it.
     """
     kind = config.aggregator.kind
     agg = config.aggregator
-    data = generate_federated_data(config.task, config.n_nodes, config.seeds.data)
+    if data is None:
+        data = generate_federated_data(config.task, config.n_nodes, config.seeds.data)
+    elif (data.spec, data.seed, len(data.labels)) != (
+        config.task, config.seeds.data, config.n_nodes
+    ):
+        raise ConfigurationError(
+            "data was generated for another task spec, data seed or node count"
+        )
     task = make_task(config.task, data)
     graph = build_topology(config.topology, config.n_nodes, config.seeds.topology)
     byz = sample_byzantine_nodes(config.n_nodes, config.byz_fraction, config.seeds.byzantine)
@@ -418,7 +432,9 @@ def sweep(
     masters: list[int],
 ) -> tuple[list[tuple], list[dict]]:
     """One run per (fraction, master seed); returns CSV-ready rows and the
-    per-run manifests. Rows carry the master seed, not the derived ones."""
+    per-run manifests, fraction-major. Rows carry the master seed, not the
+    derived ones. Every fraction of a master draws the same data seed, so
+    each listed master's data is generated once and shared by its runs."""
     if not fractions:
         raise ConfigurationError("sweep needs at least one byzantine fraction")
     for frac in fractions:
@@ -426,19 +442,20 @@ def sweep(
             raise ConfigurationError(f"sweep fraction {frac} outside [0, 0.8]")
     if not masters:
         raise ConfigurationError("sweep needs at least one master seed")
-    rows: list[tuple] = []
-    manifests: list[dict] = []
-    for frac in fractions:
-        for master in masters:
-            cfg = replace(
-                config,
-                byz_fraction=frac,
-                seeds=derive_seeds(master, config.seeds.sketch),
-            )
+    # cells[f][s] holds (manifest, rows) of fractions[f] x masters[s], by
+    # position, so duplicate entries stay separate runs
+    cells: list[list] = [[None] * len(masters) for _ in fractions]
+    for s, master in enumerate(masters):
+        seeds = derive_seeds(master, config.seeds.sketch)
+        data = generate_federated_data(config.task, config.n_nodes, seeds.data)
+        for f, frac in enumerate(fractions):
+            cfg = replace(config, byz_fraction=frac, seeds=seeds)
             run_id = f"{cfg.aggregator.kind}-{cfg.attack.kind}-b{frac:g}-m{master}"
-            result = run_simulation(cfg, run_id=run_id)
-            manifests.append(result.manifest)
-            rows.extend(metrics_rows(run_id, master, frac, result.metrics))
+            result = run_simulation(cfg, run_id=run_id, data=data)
+            cells[f][s] = (result.manifest, metrics_rows(run_id, master, frac, result.metrics))
+        del data  # one master's data alive at a time
+    manifests = [manifest for row in cells for manifest, _ in row]
+    rows = [r for row in cells for _, cell_rows in row for r in cell_rows]
     return rows, manifests
 
 

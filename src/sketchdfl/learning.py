@@ -8,6 +8,12 @@ tanh network for a non-convex smoke case. Models are flat float64 vectors
 so sketching and aggregation never care which task produced them; tasks
 may pad with inert trailing coordinates to reach a requested dimension.
 
+The classification tasks read a design matrix: the generator stores
+each sample's p features followed by a constant 1.0, the input bias
+column, in the client shards `(n, m, p+1)` and the held-out set
+`(N, p+1)`, so no training step or evaluation rebuilds that column. The
+quadratic task's data has no such column.
+
 A task's `grad` and `error_rate` take one model `(dim,)` or a stack
 `(n, dim)` with matching leading axes on the data, so every node of a
 round trains and is scored in lockstep. Stacks go through `np.matmul`,
@@ -65,10 +71,13 @@ class TaskSpec:
 
 @dataclass
 class FederatedData:
-    """Client i's shard is features[i] (m, p) and labels[i] (m,): every
-    shard lives in one (n_clients, m, p) array. labels holds class ids for
-    classification tasks and float regression targets for the quadratic
-    task."""
+    """Client i's shard is features[i] and labels[i] (m,): every shard
+    lives in one (n_clients, m, ·) array. For the classification tasks the
+    feature rows are design rows of p+1 values, the sample's p features
+    then exactly 1.0 (the input bias), in the shards (n_clients, m, p+1)
+    and the held-out set (N, p+1); the quadratic task's rows are its p
+    features. labels holds class ids for classification tasks and float
+    regression targets for the quadratic task."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -116,10 +125,15 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minus_one_hot(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Subtract 1 from each row's label entry, in place."""
-    labels = y[..., None] == np.arange(probs.shape[-1])
-    return np.subtract(probs, 1.0, out=probs, where=labels)
+def _softmax_minus_one_hot(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """softmax(logits) minus each row's one-hot label, in place in `logits`.
+    Every element takes `_softmax`'s operations in its order, so the bits
+    are those of `_softmax(logits)` with 1 subtracted at each label."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    logits[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    return logits
 
 
 def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,16 +229,18 @@ class LogisticTask:
         return np.zeros(self.dim)
 
     def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _mean_cross_entropy(_with_bias(X) @ _T(self._weights(w)), y)
+        return _mean_cross_entropy(X @ _T(self._weights(w)), y)
 
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient over the active coordinates (padding has none)."""
-        Xb = _with_bias(X)
-        probs = _minus_one_hot(_softmax(Xb @ _T(self._weights(w))), y)
-        return (_T(probs) @ Xb / y.shape[-1]).reshape(*w.shape[:-1], -1)
+        """Gradient over the active coordinates (padding has none); X holds
+        design rows (..., b, p+1)."""
+        probs = _softmax_minus_one_hot(X @ _T(self._weights(w)), y)
+        g = _T(probs) @ X
+        g /= y.shape[-1]
+        return g.reshape(*w.shape[:-1], -1)
 
     def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _error_fraction(_with_bias(X) @ _T(self._weights(w)), y)
+        return _error_fraction(X @ _T(self._weights(w)), y)
 
 
 class TinyMlpTask:
@@ -254,29 +270,29 @@ class TinyMlpTask:
         return w
 
     def _forward(self, w, X):
-        """(bias-augmented X, bias-augmented hidden activations, logits)."""
+        """(bias-augmented hidden activations, logits) for design rows X."""
         w1, w2 = self._unpack(w)
-        Xb = _with_bias(X)
-        hb = _with_bias(np.tanh(Xb @ _T(w1)))
-        return Xb, hb, hb @ _T(w2)
+        hb = _with_bias(np.tanh(X @ _T(w1)))
+        return hb, hb @ _T(w2)
 
     def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _mean_cross_entropy(self._forward(w, X)[2], y)
+        return _mean_cross_entropy(self._forward(w, X)[1], y)
 
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient over the active coordinates (padding has none)."""
+        """Gradient over the active coordinates (padding has none); X holds
+        design rows (..., b, p+1)."""
         _, w2 = self._unpack(w)
-        Xb, hb, logits = self._forward(w, X)
-        probs = _minus_one_hot(_softmax(logits), y)
+        hb, logits = self._forward(w, X)
+        probs = _softmax_minus_one_hot(logits, y)
         probs /= y.shape[-1]
         g2 = _T(probs) @ hb
         back = (probs @ w2[..., :-1]) * (1 - hb[..., :-1] ** 2)
-        g1 = _T(back) @ Xb
+        g1 = _T(back) @ X
         lead = w.shape[:-1]
         return np.concatenate([g1.reshape(*lead, -1), g2.reshape(*lead, -1)], axis=-1)
 
     def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _error_fraction(self._forward(w, X)[2], y)
+        return _error_fraction(self._forward(w, X)[1], y)
 
 
 def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> FederatedData:
@@ -284,6 +300,7 @@ def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> Federa
 
     Classification: Gaussian class blobs with Dirichlet(concentration)
     label skew per client; the held-out set cycles through classes evenly.
+    Feature rows are stored as design rows, the p features then 1.0.
     Quadratic: client optima drift from a shared one by
     concentration**-0.5, which is what makes shards heterogeneous.
     """
@@ -314,19 +331,23 @@ def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> Federa
     means = spec.separation * mrng.normal(size=(C, p)) / np.sqrt(p)
     trng = np.random.Generator(np.random.PCG64(combine64(seed, 4)))
     y_t = np.arange(spec.test_samples) % C
-    X_t = means[y_t] + trng.normal(size=(spec.test_samples, p))
+    X_t = np.empty((spec.test_samples, p + 1))
+    np.add(means[y_t], trng.normal(size=(spec.test_samples, p)), out=X_t[:, :p])
+    X_t[:, p] = 1.0
     lrng = np.random.Generator(np.random.PCG64(combine64(seed, 2)))
     proportions = lrng.dirichlet(np.full(C, spec.concentration), size=n_clients)
-    features = np.empty((n_clients, m, p))
+    features = np.empty((n_clients, m, p + 1))
     labels = np.empty((n_clients, m), dtype=np.int64)
     for i in range(n_clients):
         crng = np.random.Generator(np.random.PCG64(combine64(seed, 3, i)))
         counts = crng.multinomial(m, proportions[i])
         y = np.repeat(np.arange(C), counts)
-        feats = means[y] + crng.normal(size=(m, p))
+        feats = means[y]
+        feats += crng.normal(size=(m, p))
         order = crng.permutation(m)
-        features[i] = feats[order]
+        features[i, :, :p] = feats[order]
         labels[i] = y[order]
+    features[..., p] = 1.0
     return FederatedData(features, labels, X_t, y_t, spec, seed)
 
 
@@ -350,7 +371,7 @@ def local_update(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minibatch SGD for n clients in lockstep. Row i of the (n, dim)
-    `models` stack trains on client i's shard, `features[i]` (m, p) and
+    `models` stack trains on client i's shard, `features[i]` and
     `labels[i]` (m,), and draws a fresh shuffle each epoch from `rngs[i]`,
     so every row takes exactly the steps it would take alone. Each step
     makes one `task.grad` call for the whole stack and moves only the
@@ -381,7 +402,9 @@ def local_update(
         order = np.stack([rng.permutation(m) for rng in rngs])
         for start in range(0, m, step):
             idx = order[:, start : start + step]
-            active -= lr * task.grad(w, features[rows, idx], labels[rows, idx])
+            g = task.grad(w, features[rows, idx], labels[rows, idx])
+            g *= lr  # in place, the bits of `active -= lr * g`
+            active -= g
     for i, row in enumerate(w):
         if not np.isfinite(row).all():
             raise NumericalDivergenceError(
@@ -393,7 +416,8 @@ def local_update(
 
 def test_error_rate(task, models: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The task's error metric for each model of an (n, dim) stack, on one
-    shared set X (N, p), y (N,) or on one set per model, X (n, N, p), y (n, N).
+    shared set X (N, ·), y (N,) or on one set per model, X (n, N, ·), y (n, N),
+    whose rows are laid out as `FederatedData` stores them.
 
     Tasks read only `models[..., :task.active_dim]`, so a caller may pass
     just those columns: the padding never changes a score."""

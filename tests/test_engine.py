@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from sketchdfl.engine import (
 )
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.io import metrics_csv_text
-from sketchdfl.learning import TaskSpec
+from sketchdfl.learning import TaskSpec, generate_federated_data
 from sketchdfl.topology import TopologySpec, sample_byzantine_nodes
 
 ROBUSTNESS_INI = Path(__file__).resolve().parent.parent / "configs" / "robustness.ini"
@@ -442,6 +443,39 @@ def test_sweep_matches_pinned_digests(name):
     assert len(manifests) == len(fractions) * len(masters)
     assert hashlib.sha256(metrics_csv_text(rows).encode()).hexdigest() == csv_digest
     assert hashlib.sha256(json.dumps(manifests).encode()).hexdigest() == manifests_digest
+
+
+def test_sweep_generates_each_listed_masters_data_once(monkeypatch):
+    made = []
+
+    def generate(spec, n_clients, seed):
+        assert all(ref() is None for ref in made)  # the previous master's data is freed
+        data = real(spec, n_clients, seed)
+        made.append(weakref.ref(data))
+        return data
+
+    real = engine.generate_federated_data
+    monkeypatch.setattr(engine, "generate_federated_data", generate)
+    masters = [3, 4, 3]
+    rows, _ = sweep(tiny_config(rounds=1), [0.0, 0.2, 0.4], masters)
+    assert len(made) == len(masters)
+    assert [r[:3] for r in rows] == [
+        (f"sketchfilter-none-b{frac:g}-m{m}", m, frac) for frac in (0.0, 0.2, 0.4) for m in masters
+    ]
+
+
+def test_run_rejects_data_generated_for_another_config():
+    cfg = tiny_config(rounds=2)
+    data = generate_federated_data(cfg.task, cfg.n_nodes, cfg.seeds.data)
+    given = run_simulation(cfg, data=data)
+    assert csv_bytes(given) == csv_bytes(run_simulation(cfg))
+    for other in (
+        generate_federated_data(replace(cfg.task, noise=0.2), cfg.n_nodes, cfg.seeds.data),
+        generate_federated_data(cfg.task, cfg.n_nodes, cfg.seeds.data + 1),
+        generate_federated_data(cfg.task, cfg.n_nodes + 1, cfg.seeds.data),
+    ):
+        with pytest.raises(ConfigurationError, match="another task spec"):
+            run_simulation(cfg, data=other)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

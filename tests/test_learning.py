@@ -4,6 +4,7 @@ Gradients are checked against central finite differences computed here,
 independent of the analytic implementations.
 """
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,7 +112,8 @@ def test_generation_is_deterministic_and_client_distinct():
 
 
 # SHA-256 of features, labels, test_features and test_labels for five
-# clients at seed 29, taken before the generator's output layout changed
+# clients at seed 29, taken when the classification arrays held only the p
+# raw features; they now carry a trailing ones column after those bits
 GENERATOR_SPECS = {
     "logistic": (TaskSpec(kind="logistic", features=7, classes=4, samples_per_client=25,
                           test_samples=40, concentration=0.5), (
@@ -141,9 +143,16 @@ GENERATOR_SPECS = {
 def test_generated_data_matches_pinned_digests(kind):
     spec, digests = GENERATOR_SPECS[kind]
     data = generate_federated_data(spec, 5, seed=29)
-    arrays = (data.features, data.labels, data.test_features, data.test_labels)
+    p = spec.features
+    width = p if kind == "quadratic" else p + 1
+    assert data.features.shape == (5, spec.samples_per_client, width)
+    assert data.test_features.shape == (spec.test_samples, width)
+    arrays = (data.features[..., :p], data.labels, data.test_features[..., :p], data.test_labels)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays)
     assert got == digests
+    if kind != "quadratic":
+        assert (data.features[..., p] == 1.0).all()
+        assert (data.test_features[..., p] == 1.0).all()
 
 
 def test_low_concentration_skews_labels():
@@ -228,6 +237,35 @@ def test_local_update_rejects_out_sharing_memory_with_models():
         with pytest.raises(ConfigurationError, match="share memory"):
             local_update(*args, out=out)
     np.testing.assert_array_equal(models, 0.0)
+
+
+def test_training_and_evaluation_temporaries_stay_below_two_design_stacks():
+    # logistic at desk scale: a step gathers one (n, b, p+1) minibatch
+    # stack and an evaluation reads the (N, p+1) held-out design rows in
+    # place; a second copy of either (rebuilding the bias column, say)
+    # pushes the peak past 1.75 of them
+    spec = TaskSpec(kind="logistic", features=127, classes=10, samples_per_client=200)
+    n, b = 20, 64
+    data = generate_federated_data(spec, n, seed=3)
+    task = make_task(spec, data)
+    models = np.random.default_rng(0).normal(0, 0.01, (n, task.dim))
+    spare = np.empty_like(models)
+    rngs = [np.random.default_rng(i) for i in range(n)]
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    train = peak_bytes(lambda: local_update(task, models, data.features, data.labels,
+                                            0.05, 3, b, rngs, out=spare))
+    assert train < 1.75 * n * b * (spec.features + 1) * 8
+    scored = peak_bytes(lambda: held_out_error(task, models[:16], data.test_features,
+                                               data.test_labels))
+    assert scored < 1.75 * spec.test_samples * (spec.features + 1) * 8
 
 
 def test_local_update_seed_determinism():

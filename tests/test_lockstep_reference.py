@@ -4,8 +4,9 @@
 step, and `test_error_rate` scores a stack in one call. Both must give
 exactly the bytes of training and scoring each node on its own. The
 per-node reference below is that code: one model at a time, the bias
-column appended per minibatch, the gradient written into a full-dimension
-zero vector. CI runs this file at `OPENBLAS_NUM_THREADS=1` as well.
+column appended per minibatch to the raw features `X[..., :features]`
+(the generator's own ones column is checked separately), the gradient
+written into a full-dimension zero vector. CI runs this file at `OPENBLAS_NUM_THREADS=1` as well.
 """
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ N_CLIENTS = 12  # more than 8, so the quadratic metric's mean over shards is pai
 
 def ref_with_bias(X):
     return np.hstack([X, np.ones((len(X), 1))])
+
+
+def ref_design(task, X):
+    """The raw features of design rows, with the reference's own bias column."""
+    return ref_with_bias(X[..., : task.spec.features])
 
 
 def ref_softmax(logits):
@@ -41,14 +47,14 @@ def ref_grad(task, w, X, y):
         p = s.features
         g[:p] = X.T @ (X @ w[:p] - y) / len(y)
     elif task.kind == "logistic":
-        Xb = ref_with_bias(X)
+        Xb = ref_design(task, X)
         W = w[: task.active_dim].reshape(s.classes, s.features + 1)
         probs = ref_softmax(Xb @ W.T)
         probs[np.arange(len(y)), y.astype(np.int64)] -= 1.0
         g[: task.active_dim] = (probs.T @ Xb / len(y)).ravel()
     else:
         n1, w1, w2 = ref_mlp_unpack(task, w)
-        Xb = ref_with_bias(X)
+        Xb = ref_design(task, X)
         hidden = np.tanh(Xb @ w1.T)
         hb = ref_with_bias(hidden)
         probs = ref_softmax(hb @ w2.T)
@@ -91,10 +97,10 @@ def ref_error_rate(task, data, w, X, y):
     if task.kind == "logistic":
         s = task.spec
         W = w[: task.active_dim].reshape(s.classes, s.features + 1)
-        logits = ref_with_bias(X) @ W.T
+        logits = ref_design(task, X) @ W.T
     else:
         _, w1, w2 = ref_mlp_unpack(task, w)
-        logits = ref_with_bias(np.tanh(ref_with_bias(X) @ w1.T)) @ w2.T
+        logits = ref_with_bias(np.tanh(ref_design(task, X) @ w1.T)) @ w2.T
     return float(np.mean(np.argmax(logits, axis=1) != y.astype(np.int64)))
 
 
@@ -119,6 +125,10 @@ def setup(kind):
     data = generate_federated_data(spec, N_CLIENTS, seed=23)
     task = make_task(spec, data)
     assert task.dim > task.active_dim  # padded
+    if kind != "quadratic":  # design rows: the raw features, then exactly 1.0
+        assert data.features.shape[-1] == data.test_features.shape[-1] == spec.features + 1
+        assert (data.features[..., -1] == 1.0).all()
+        assert (data.test_features[..., -1] == 1.0).all()
     rng = np.random.default_rng(5)
     models = rng.normal(0, 0.3, (N_CLIENTS, task.dim))  # distinct rows, padding included
     return data, task, models
