@@ -6,7 +6,8 @@ exactly the bytes of training and scoring each node on its own. The
 per-node reference below is that code: one model at a time, the bias
 column appended per minibatch to the raw features `X[..., :features]`
 (the generator's own ones column is checked separately), the gradient
-written into a full-dimension zero vector. CI runs this file at `OPENBLAS_NUM_THREADS=1` as well.
+written into a full-dimension zero vector. CI runs this file at
+`OPENBLAS_NUM_THREADS=1` as well.
 """
 import numpy as np
 import pytest
