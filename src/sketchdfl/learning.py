@@ -19,7 +19,11 @@ A task's `grad` and `error_rate` take one model `(dim,)` or a stack
 round trains and is scored in lockstep. Stacks go through `np.matmul`,
 which makes the same BLAS call on each slice as on a single model, so a
 stacked result is bitwise the per-model one. `einsum` does not keep
-those bits, and neither would folding the nodes into one wider product.
+those bits. Folding every model's classes into the M side of one GEMM
+against a shared held-out set does: each score is still one dot product
+over the same p+1 terms in the same order, and
+`tests/test_blas_determinism.py` pins the folded scores against the
+per-model products at one and two BLAS threads.
 """
 from __future__ import annotations
 
@@ -126,13 +130,22 @@ def _with_bias(X: np.ndarray) -> np.ndarray:
 
 
 def _softmax_minus_one_hot(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """softmax(logits) minus each row's one-hot label, in place in `logits`.
-    Every element takes `_softmax`'s operations in its order, so the bits
-    are those of `_softmax(logits)` with 1 subtracted at each label."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """softmax(logits) minus each row's one-hot label, in place in `logits`,
+    a C-contiguous (..., C) product. The row max is taken one class column
+    at a time, so no numpy loop runs over rows of C values. A max is exact;
+    where its zero's sign differs from `logits.max`'s, only `x - 0` at
+    x = ±0 changes, and `exp` maps both signs to 1. Every other step is
+    `_softmax`'s in its order, so the bits are those of `_softmax(logits)`
+    with 1 subtracted at each label."""
+    C = logits.shape[-1]
+    top = logits[..., 0].copy()
+    for c in range(1, C):
+        np.maximum(top, logits[..., c], out=top)
+    logits -= top[..., None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
-    logits[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    rows = np.reshape(logits, (-1, C), copy=False)
+    rows[np.arange(len(rows)), y.reshape(-1)] -= 1.0
     return logits
 
 
@@ -141,8 +154,41 @@ def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.mean(np.log(np.maximum(picked[..., 0], 1e-12)), axis=-1)
 
 
-def _error_fraction(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.mean(np.argmax(logits, axis=-1) != y, axis=-1)
+def _class_scores(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class-major scores (..., C, N) of weights W (..., C, K) on design
+    rows X: one set (N, K) shared by every model, or one set per model
+    (..., N, K). A shared set is one GEMM, every model's classes folded
+    into its M side; per-model sets are one stacked product."""
+    if X.ndim == 2:
+        return (W.reshape(-1, X.shape[-1]) @ X.T).reshape(*W.shape[:-1], len(X))
+    return W @ _T(X)
+
+
+def _error_fraction(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fraction of samples whose argmax class is not the label, for
+    class-major scores (..., C, N) and labels (N,) or (..., N): exactly
+    `np.mean(np.argmax(scores, axis=-2) != y, axis=-1)`.
+
+    A sample is wrong where its label's score is below the top score. Only
+    where the top is tied or NaN does argmax's first-index rule decide, so
+    only those samples go through `np.argmax`; ties are counted class by
+    class into one (..., N) array rather than a (..., C, N) mask."""
+    lead, (C, N) = scores.shape[:-2], scores.shape[-2:]
+    s = scores.reshape(-1, C, N)
+    y = np.broadcast_to(y, (*lead, N)).reshape(-1, N)
+    at = np.arange(len(s))[:, None] * C + y   # flat index of each label's score
+    at *= N
+    at += np.arange(N)
+    mine = s.reshape(-1).take(at)
+    del at
+    top = np.maximum.reduce(s, axis=1)
+    wrong = mine < top
+    hits = np.zeros(top.shape, dtype=np.min_scalar_type(C))
+    for c in range(C):
+        hits += s[:, c] == top
+    m, t = np.nonzero(hits != 1)   # tied, or NaN (equal to nothing)
+    wrong[m, t] = np.argmax(s[m, :, t], axis=-1) != y[m, t]
+    return np.mean(wrong.reshape(*lead, N), axis=-1)
 
 
 class QuadraticTask:
@@ -240,7 +286,7 @@ class LogisticTask:
         return g.reshape(*w.shape[:-1], -1)
 
     def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _error_fraction(X @ _T(self._weights(w)), y)
+        return _error_fraction(_class_scores(self._weights(w), X), y)
 
 
 class TinyMlpTask:
@@ -269,21 +315,21 @@ class TinyMlpTask:
         w[self._n1 : self.active_dim] = rng.normal(0, scale2, self.active_dim - self._n1)
         return w
 
-    def _forward(self, w, X):
-        """(bias-augmented hidden activations, logits) for design rows X."""
+    def _hidden(self, w, X):
+        """(output-layer weights, bias-augmented hidden activations) for
+        design rows X."""
         w1, w2 = self._unpack(w)
-        hb = _with_bias(np.tanh(X @ _T(w1)))
-        return hb, hb @ _T(w2)
+        return w2, _with_bias(np.tanh(X @ _T(w1)))
 
     def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _mean_cross_entropy(self._forward(w, X)[1], y)
+        w2, hb = self._hidden(w, X)
+        return _mean_cross_entropy(hb @ _T(w2), y)
 
     def grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient over the active coordinates (padding has none); X holds
         design rows (..., b, p+1)."""
-        _, w2 = self._unpack(w)
-        hb, logits = self._forward(w, X)
-        probs = _softmax_minus_one_hot(logits, y)
+        w2, hb = self._hidden(w, X)
+        probs = _softmax_minus_one_hot(hb @ _T(w2), y)
         probs /= y.shape[-1]
         g2 = _T(probs) @ hb
         back = (probs @ w2[..., :-1]) * (1 - hb[..., :-1] ** 2)
@@ -292,7 +338,7 @@ class TinyMlpTask:
         return np.concatenate([g1.reshape(*lead, -1), g2.reshape(*lead, -1)], axis=-1)
 
     def error_rate(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _error_fraction(self._forward(w, X)[1], y)
+        return _error_fraction(_class_scores(*self._hidden(w, X)), y)
 
 
 def generate_federated_data(spec: TaskSpec, n_clients: int, seed: int) -> FederatedData:

@@ -11,7 +11,10 @@ import pytest
 
 from sketchdfl.errors import ConfigurationError, NumericalDivergenceError
 from sketchdfl.learning import (
+    LogisticTask,
     TaskSpec,
+    _error_fraction,
+    _softmax_minus_one_hot,
     generate_federated_data,
     local_update,
     make_task,
@@ -337,6 +340,73 @@ def test_tiny_mlp_init_breaks_symmetry_and_error_in_range():
     assert np.std(w[: task.active_dim]) > 0
     ter = held_out_error(task, w, data.test_features, data.test_labels)
     assert 0.0 <= ter <= 1.0
+
+
+def argmax_error(logits, y):
+    """Reference error fraction: a plain argmax over row-major (..., N, C)
+    logits."""
+    return np.mean(np.argmax(logits, axis=-1) != y, axis=-1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_class_major_error_fraction_is_argmax_on_ties_nan_and_inf():
+    rng = np.random.default_rng(8)
+    logits = rng.integers(-2, 3, size=(6, 400, 5)).astype(float)
+    top2 = np.sort(logits, axis=-1)[..., -2:]
+    assert (top2[..., 0] == top2[..., 1]).mean() > 0.2  # ties are common
+    logits[0, :4, 2] = np.nan                  # a NaN before, at and after the label
+    logits[1, 4] = np.nan
+    logits[2, 5:9, [1, 3]] = np.inf
+    logits[3, 9:13, [0, 4]] = -np.inf
+    logits[4, 13] = -np.inf
+    logits[5, 14:18] = [-0.0, 0.0, -0.0, 0.0, -1.0]
+    y = rng.integers(0, 5, size=400)
+    y[:4] = [0, 2, 3, 2]
+    per_model = rng.integers(0, 5, size=(6, 400))
+    scores = np.ascontiguousarray(logits.swapaxes(-1, -2))
+    for labels in (y, per_model):
+        want = argmax_error(logits, labels)
+        assert _error_fraction(scores.copy(), labels).tobytes() == want.tobytes()
+    want = argmax_error(logits[0], y)
+    assert _error_fraction(scores[0].copy(), y).tobytes() == want.tobytes()
+
+
+def test_logistic_error_rate_is_argmax_on_integer_models_and_features():
+    # integer weights and features give exact scores with many ties, so
+    # argmax's first-index rule decides a large share of the samples
+    spec = TaskSpec(kind="logistic", features=3, classes=4, dim=20)
+    task = LogisticTask(spec)
+    rng = np.random.default_rng(9)
+    models = rng.integers(-1, 2, size=(5, task.dim)).astype(float)
+    W = models[:, : task.active_dim].reshape(5, 4, 4)
+
+    def design(*shape):
+        X = rng.integers(-1, 2, size=(*shape, 4)).astype(float)
+        X[..., -1] = 1.0
+        return X
+
+    X, y = design(300), rng.integers(0, 4, size=300)
+    want = argmax_error(X @ W.swapaxes(-1, -2), y)
+    assert held_out_error(task, models, X, y).tobytes() == want.tobytes()
+    assert held_out_error(task, models[2], X, y).tobytes() == want[2].tobytes()
+    Xs, ys = design(5, 300), rng.integers(0, 4, size=(5, 300))
+    want = argmax_error(Xs @ W.swapaxes(-1, -2), ys)
+    assert held_out_error(task, models, Xs, ys).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_column_max_softmax_is_bitwise_the_row_max_expression():
+    special = [[-0.0, 0.0, -1.0], [0.0, -0.0, -3.0], [-0.0, -0.0, -0.0], [0.0, 2.0, -0.0],
+               [np.inf, 1.0, 2.0], [np.inf, np.inf, 0.0], [-np.inf, 0.0, 1.0],
+               [-np.inf, -np.inf, -np.inf], [np.nan, 1.0, 0.0], [1.0, 2.0, np.nan]]
+    rng = np.random.default_rng(10)
+    logits = np.concatenate([special, rng.normal(size=(22, 3))]).reshape(2, 16, 3)
+    y = rng.integers(0, 3, size=(2, 16))
+    want = logits - logits.max(axis=-1, keepdims=True)
+    want = np.exp(want)
+    want /= want.sum(axis=-1, keepdims=True)
+    want[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    assert _softmax_minus_one_hot(logits.copy(), y).tobytes() == want.tobytes()
 
 
 def test_error_rate_rejects_empty_test_set():
