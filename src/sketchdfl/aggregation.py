@@ -77,13 +77,13 @@ def gamma_eff(gamma: float, eps: float) -> float:
     return gamma * math.sqrt((1 + eps) / (1 - eps))
 
 
-def _filter_by_distance(distances: dict[int, float], threshold: float) -> tuple[list[int], bool]:
+def _filter_by_distance(distances: dict[int, float], threshold: float) -> FilterOutcome:
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
     if accepted or not distances:
-        return accepted, False
+        return FilterOutcome(accepted, False, threshold, distances)
     # nothing under threshold: fall back to the single closest neighbor
     best = min(sorted(distances), key=distances.__getitem__)
-    return [best], True
+    return FilterOutcome([best], True, threshold, distances)
 
 
 def balance_filter(
@@ -98,8 +98,7 @@ def balance_filter(
     buf = np.empty_like(self_model)
     threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model, out=buf))
     distances = {j: _distance(self_model, w, out=buf) for j, w in neighbor_models.items()}
-    accepted, fallback = _filter_by_distance(distances, threshold)
-    return FilterOutcome(accepted, fallback, threshold, distances)
+    return _filter_by_distance(distances, threshold)
 
 
 def sketch_filter(
@@ -115,8 +114,7 @@ def sketch_filter(
     distances = {
         j: sketch_distance(self_sketch, s) for j, s in neighbor_sketches.items()
     }
-    accepted, fallback = _filter_by_distance(distances, threshold)
-    return FilterOutcome(accepted, fallback, threshold, distances)
+    return _filter_by_distance(distances, threshold)
 
 
 def aggregate_mixed(

@@ -9,14 +9,13 @@ sketch.DISTORTION_COEFF so library users never need to re-run this.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .io import csv_text, write_text
 from .sketch import SketchParams, combine64, compute_sketch
 
 DEFAULT_WIDTHS = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -81,39 +80,10 @@ def fit_distortion_coefficient(rows: list[CalibrationRow], margin: float = 1.05)
 
 
 def table_text(rows: list[CalibrationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([r.width, f"{r.epsilon_hat:.6g}", f"{r.violation_rate:.6g}"])
-    return buf.getvalue()
+    return csv_text(
+        CSV_HEADER, ([r.width, f"{r.epsilon_hat:.6g}", f"{r.violation_rate:.6g}"] for r in rows)
+    )
 
 
 def write_table(rows: list[CalibrationRow], path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(table_text(rows))
-
-
-def read_table(path: str | Path) -> list[CalibrationRow]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"calibration table not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ConfigurationError(
-                f"calibration table {path} has header {header}, expected {CSV_HEADER}"
-            )
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            rows.append(
-                CalibrationRow(
-                    width=int(line[0]),
-                    epsilon_hat=float(line[1]),
-                    violation_rate=float(line[2]),
-                )
-            )
-    return rows
+    write_text(path, table_text(rows))

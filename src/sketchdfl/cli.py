@@ -132,9 +132,15 @@ def _cmd_bench(args) -> int:
     out = Path(args.out)
     write_bench_csv(out / "bench.csv", rows)
     truncated = [r for r in rows if r.truncated]
+    screen: dict[int, dict[str, float]] = {}  # rung -> aggregator -> screening ops
     for r in rows:
         print(f"{r.mode} x={r.x_value} {r.aggregator}: screen={r.screen_ops:.0f} "
               f"agg={r.agg_ops:.0f} tx={r.params_tx:.0f}" + (" TRUNCATED" if r.truncated else ""))
+        if not r.truncated:
+            screen.setdefault(r.x_value, {})[r.aggregator] = r.screen_ops
+    for x, ops in screen.items():
+        print(f"{args.mode} x={x}: full/sketch screening ops = "
+              f"{ops['balance'] / ops['sketchfilter']:.1f}x")
     print(f"wrote {out / 'bench.csv'}")
     if truncated:
         print("warning: ladder truncated by the resource budget", file=sys.stderr)

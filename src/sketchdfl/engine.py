@@ -41,6 +41,7 @@ from .io import CSV_COLUMNS
 from .learning import (
     FederatedData,
     TaskSpec,
+    _resolve_dim,
     generate_federated_data,
     local_update,
     make_task,
@@ -317,11 +318,9 @@ def run_simulation(
                 return list(nbrs), False
             if kind == "krum":
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
-                if len(pool) < 3:
-                    # krum undefined below 3 models; keep own model
-                    mixed[i] = trained[i]
-                    return [], False
-                chosen = krum_select_index(pool, _krum_f(config, len(pool)))
+                chosen = 0  # krum is undefined below 3 models: keep own model
+                if len(pool) >= 3:
+                    chosen = krum_select_index(pool, _krum_f(config, len(pool)))
                 mixed[i] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
@@ -412,7 +411,7 @@ def build_manifest(config, run_id, graph, byz, honest_connected, task, params) -
     }
 
 
-def derive_seeds(master: int, sketch_seed: int = 42) -> Seeds:
+def derive_seeds(master: int, sketch_seed: int = Seeds.sketch) -> Seeds:
     """Replicate-specific seeds for a sweep: every stream is re-keyed from
     the master except the sketch seed, which stays shared so hash families
     line up across replicates."""
@@ -471,6 +470,7 @@ def metrics_rows(run_id: str, seed: int, byz_fraction: float, metrics: list[Roun
 DIM_LADDER = (22_000, 85_000, 660_000)
 DEGREE_LADDER = ((16, 20), (32, 35), (96, 100))
 BENCH_BUDGET_BYTES = 4_000_000_000
+BENCH_AGGREGATORS = ("sketchfilter", "balance")  # sketch screening vs its full-precision twin
 
 
 @dataclass(frozen=True)
@@ -487,14 +487,14 @@ class BenchRow:
 def bench(
     mode: str,
     config: SimConfig | None = None,
-    aggregators: tuple[str, ...] = ("sketchfilter", "balance"),
     dim_ladder: tuple[int, ...] = DIM_LADDER,
     degree_ladder: tuple[tuple[int, int], ...] = DEGREE_LADDER,
     budget_bytes: int = BENCH_BUDGET_BYTES,
 ) -> list[BenchRow]:
     """Op-count scaling report. dims mode grows the padded model dimension
     on a fixed k-regular graph; degree mode grows the k-regular degree at
-    fixed dimension. One round each; per-node per-round means reported.
+    fixed dimension, the model padded to at least 2000. One round each;
+    per-node per-round means reported.
     The first rung whose working set would blow the memory budget is not
     run: it gets one zero-cost row per aggregator, marked truncated, and
     the ladder stops there."""
@@ -513,7 +513,7 @@ def bench(
         points = [(d, base.n_nodes, base.topology) for d in dim_ladder]
     else:
         points = [
-            (max(base.task.dim, 2000), n, TopologySpec(kind="k-regular", degree=deg))
+            (max(_resolve_dim(base.task)[0], 2000), n, TopologySpec(kind="k-regular", degree=deg))
             for deg, n in degree_ladder
         ]
     for x_index, (dim, n, topo) in enumerate(points):
@@ -521,10 +521,10 @@ def bench(
         # working set: a handful of dim-length float64 vectors per node
         need = 6 * n * dim * 8
         if need > budget_bytes:
-            for agg_kind in aggregators:
+            for agg_kind in BENCH_AGGREGATORS:
                 rows.append(BenchRow(mode, x_value, agg_kind, 0.0, 0.0, 0.0, truncated=True))
             break
-        for agg_kind in aggregators:
+        for agg_kind in BENCH_AGGREGATORS:
             cfg = replace(
                 base,
                 task=replace(base.task, dim=dim),

@@ -38,7 +38,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(columns: tuple[str, ...], rows) -> str:
+def csv_text(columns: tuple[str, ...], rows) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -46,7 +46,7 @@ def _csv_text(columns: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-def _write(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -58,20 +58,20 @@ def metrics_csv_text(rows: list[tuple]) -> str:
             raise ConfigurationError(
                 f"metrics row has {len(row)} cells, schema needs {len(CSV_COLUMNS)}"
             )
-    return _csv_text(CSV_COLUMNS, rows)
+    return csv_text(CSV_COLUMNS, rows)
 
 
 def write_metrics_csv(path: str | Path, rows: list[tuple]) -> None:
-    _write(path, metrics_csv_text(rows))
+    write_text(path, metrics_csv_text(rows))
 
 
 def bench_csv_text(rows) -> str:
-    return _csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
+    return csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
 
 
 def write_bench_csv(path: str | Path, rows) -> None:
-    _write(path, bench_csv_text(rows))
+    write_text(path, bench_csv_text(rows))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    _write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

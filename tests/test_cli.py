@@ -206,7 +206,25 @@ def test_bench_degree_mode_cli(tmp_path, capsys):
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0] == "mode,x_value,aggregator,screen_ops,agg_ops,params_tx"
     assert len(lines) == 1 + 3 * 2  # ladder rungs x aggregators
-    assert "wrote" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    ratios = [line for line in out_text.splitlines() if "full/sketch screening ops" in line]
+    assert [line.split(":")[0] for line in ratios] == ["degree x=16", "degree x=32", "degree x=96"]
+    assert "wrote" in out_text
+
+
+def test_bench_degree_mode_pads_past_a_large_natural_size(tmp_path):
+    # natural size 10 * (300 + 1) = 3010, above the ladder's 2000-dim floor
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[task]\nkind = logistic\nfeatures = 300\nsamples_per_client = 8\n"
+                   "test_samples = 16\n\n[run]\nlocal_epochs = 1\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--mode", "degree", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    balance = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()
+               if ",balance," in line]
+    # full-precision screening costs dim multiply-adds per neighbor
+    assert [(int(row[1]), float(row[3])) for row in balance] == [
+        (deg, 3010.0 * deg) for deg in (16, 32, 96)
+    ]
 
 
 # ----------------------------------------------------------------- check

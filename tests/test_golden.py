@@ -4,7 +4,7 @@ Each case runs a small simulation and hashes three things with SHA-256:
 the metrics-CSV bytes, `final_models.tobytes()`, and the newline-joined
 `repr` of every round's `agg_ops_mean` (which the CSV does not carry).
 The cases cover every aggregator on the logistic task, one quadratic and
-one tiny-mlp case, and per-client evaluation.
+one tiny-mlp case, per-client evaluation, and Krum on two nodes.
 The digests were taken with numpy 2.4.6 on x86-64; another numpy or BLAS
 build may round differently and need them re-taken from a known-good tree.
 The thresholds are tight enough that the sketch and balance cases see
@@ -143,6 +143,13 @@ CASES = {
             "99c054c0c41f4ebf230719d9625a69892ffbdb2e425562061e815049c0bc3235",
             "6ddf94fabd3a1c4557c1bacc681cb59d56118977a399cdb2af1629e07b18fe8d",
             "287456a0b08c09ea3c71d55ba379a39dad8991c8e0108797f29098d9cde0efac",
+        )),
+    # a pool of 2 models is below Krum's minimum of 3, so each node keeps its own
+    "krum-two-nodes": (
+        golden_config("krum", False, topology=TopologySpec(kind="full"), n_nodes=2), (
+            "a63d181df683e412ce435d670b3924d95bb0b6cf293c05f1ab1ec0b82eb5e09a",
+            "9693d3745e29dd1eca25da7d091c9e666b67be07cac61905b5cb44f352ef87b1",
+            "843cab5822b63e0c0f387784bca082e4112bc4429897b20853d7d9a33976390d",
         )),
 }
 
