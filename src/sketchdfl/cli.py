@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, bench, check, calibrate. Exit codes: 0 success,
+Subcommands: run, sweep, bench, check. Exit codes: 0 success,
 2 configuration problem, 3 protocol/invariant/property violation,
 4 numerical divergence.
 """
@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import calibrate_widths, fit_distortion_coefficient, write_table
 from .checks import run_checks
 from .config import emit_config, parse_config
 from .engine import bench, metrics_rows, run_simulation, sweep
@@ -84,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="run property suites")
     check_p.add_argument("--suite", default=None, help="sketch, filter, or engine (default: all)")
-
-    cal_p = sub.add_parser("calibrate", help="measure sketch distance distortion")
-    cal_p.add_argument("--out", default="calibration/k_epsilon.csv")
-    cal_p.add_argument("--pairs", type=int, default=1000)
     return parser
 
 
@@ -153,19 +148,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_INVARIANT
 
 
-def _cmd_calibrate(args) -> int:
-    if args.pairs < 1:
-        raise ConfigurationError(f"--pairs must be >= 1, got {args.pairs}")
-    rows = calibrate_widths(pairs=args.pairs)
-    write_table(rows, args.out)
-    coeff = fit_distortion_coefficient(rows)
-    for r in rows:
-        print(f"k={r.width:5d} epsilon_hat={r.epsilon_hat:.4f} violation={r.violation_rate:.4f}")
-    print(f"fitted coefficient: {coeff:.3f} (epsilon_hat ~ coeff/sqrt(k))")
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -174,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "bench": _cmd_bench,
         "check": _cmd_check,
-        "calibrate": _cmd_calibrate,
     }
     try:
         return handlers[args.command](args)

@@ -492,9 +492,11 @@ def bench(
     budget_bytes: int = BENCH_BUDGET_BYTES,
 ) -> list[BenchRow]:
     """Op-count scaling report. dims mode grows the padded model dimension
-    on a fixed k-regular graph; degree mode grows the k-regular degree at
-    fixed dimension, the model padded to at least 2000. One round each;
-    per-node per-round means reported.
+    on a fixed k-regular graph, running each rung at the larger of the rung
+    and the task's natural size, and rungs that land on the same size once;
+    degree mode grows the k-regular degree at fixed dimension, the model
+    padded to at least 2000. One round each; per-node per-round means
+    reported, x_value being the dimension or degree actually run.
     The first rung whose working set would blow the memory budget is not
     run: it gets one zero-cost row per aggregator, marked truncated, and
     the ladder stops there."""
@@ -509,14 +511,16 @@ def bench(
         lr=0.01,
     )
     rows: list[BenchRow] = []
+    padded, natural = _resolve_dim(base.task)
     if mode == "dims":
-        points = [(d, base.n_nodes, base.topology) for d in dim_ladder]
+        dims = dict.fromkeys(max(d, natural) for d in dim_ladder)  # ordered, deduplicated
+        points = [(d, base.n_nodes, base.topology) for d in dims]
     else:
         points = [
-            (max(_resolve_dim(base.task)[0], 2000), n, TopologySpec(kind="k-regular", degree=deg))
+            (max(padded, 2000), n, TopologySpec(kind="k-regular", degree=deg))
             for deg, n in degree_ladder
         ]
-    for x_index, (dim, n, topo) in enumerate(points):
+    for dim, n, topo in points:
         x_value = dim if mode == "dims" else topo.degree
         # working set: a handful of dim-length float64 vectors per node
         need = 6 * n * dim * 8

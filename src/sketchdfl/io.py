@@ -1,5 +1,6 @@
 """File formats: metrics and bench CSV, run manifests.
 
+Each writer renders its format through the two private helpers below.
 Everything here is deterministic text so emitted artifacts diff cleanly
 and reproduce byte-for-byte across platforms.
 """
@@ -38,7 +39,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def csv_text(columns: tuple[str, ...], rows) -> str:
+def _csv_text(columns: tuple[str, ...], rows) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -46,7 +47,7 @@ def csv_text(columns: tuple[str, ...], rows) -> str:
     return buf.getvalue()
 
 
-def write_text(path: str | Path, text: str) -> None:
+def _write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -58,20 +59,20 @@ def metrics_csv_text(rows: list[tuple]) -> str:
             raise ConfigurationError(
                 f"metrics row has {len(row)} cells, schema needs {len(CSV_COLUMNS)}"
             )
-    return csv_text(CSV_COLUMNS, rows)
+    return _csv_text(CSV_COLUMNS, rows)
 
 
 def write_metrics_csv(path: str | Path, rows: list[tuple]) -> None:
-    write_text(path, metrics_csv_text(rows))
+    _write_text(path, metrics_csv_text(rows))
 
 
 def bench_csv_text(rows) -> str:
-    return csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
+    return _csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
 
 
 def write_bench_csv(path: str | Path, rows) -> None:
-    write_text(path, bench_csv_text(rows))
+    _write_text(path, bench_csv_text(rows))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -183,11 +183,12 @@ def verify_model_against_sketch(
 
 
 # Distortion coefficient for the width -> relative-error model
-# epsilon_hat(width) = COEFF / sqrt(width). Fitted once by Monte Carlo
-# (calibration.fit_distortion_coefficient, 99.9th percentile of
-# |squared-distance ratio - 1| over i.i.d. Gaussian pairs, widths 64..4096,
-# measured envelope 5.4) and frozen here with headroom for quantile noise;
-# `sketchdfl calibrate` regenerates the supporting table.
+# epsilon_hat(width) = COEFF / sqrt(width), frozen. tests/test_acceptance.py
+# (test_criterion_02_distortion_model_covers_in_run_distances) checks it
+# against the vectors runs actually screen: the 99.9th percentile of
+# |squared-norm ratio - 1| over every reference model and self-minus-neighbour
+# difference stays under epsilon_hat at k = 64 and 256 on the desk grid and
+# at k = 1000 on a wide (d = 100k) model.
 DISTORTION_COEFF = 6.0
 
 

@@ -1,4 +1,5 @@
-"""End-to-end acceptance checks, one test per criterion.
+"""End-to-end acceptance checks, one test per criterion (two for criterion
+02, distance preservation: on Gaussian pairs and on in-run distances).
 
 Each test prints a single PASS/FAIL line with the measured values, then
 asserts. Heavy fixtures are shared at module scope so the whole file
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchdfl.engine as engine
 from sketchdfl.aggregation import (
     AggregatorSpec,
     balance_filter,
@@ -119,6 +121,57 @@ def test_criterion_02_distance_preservation_band():
     frac = inside / pairs
     report(2, "distance preservation", frac >= 0.99,
            f"{frac:.1%} of {pairs} pairs within 1±{eps:.4f} at k=2000")
+
+
+def _in_run_distortion(monkeypatch, config, widths) -> dict[int, float]:
+    """0.999 quantile of |‖CS(x)‖²/‖x‖² − 1| over every non-zero vector that
+    balance screening measures in one run of `config`: each node's own model
+    (the threshold's reference) and each self-minus-neighbour difference,
+    sketched with the run's hash family at each width."""
+    samples = {k: [] for k in widths}
+
+    def recording(self_model, neighbor_models, *args):
+        for x in (self_model, *(self_model - w for w in neighbor_models.values())):
+            sq = float(x @ x)
+            if sq > 0:
+                for k in widths:
+                    params = SketchParams(x.size, k, config.seeds.sketch)
+                    samples[k].append(abs(compute_sketch(params, x).norm() ** 2 / sq - 1.0))
+        return balance_filter(self_model, neighbor_models, *args)
+
+    monkeypatch.setattr(engine, "balance_filter", recording)
+    run_simulation(config)
+    return {k: float(np.quantile(v, 0.999)) for k, v in samples.items()}
+
+
+def test_criterion_02_distortion_model_covers_in_run_distances(monkeypatch, robustness_config):
+    # the desk grid at two widths, then a reduced wide-model shape at k=1000
+    desk = replace(robustness_config,
+                   aggregator=replace(robustness_config.aggregator, kind="balance"))
+    cells = {
+        (f"desk b{frac:g} m{master}", k): q
+        for frac in (0.0, 0.2, 0.4)
+        for master in (1, 2)
+        for k, q in _in_run_distortion(
+            monkeypatch,
+            replace(desk, byz_fraction=frac, seeds=derive_seeds(master)),
+            (64, 256),
+        ).items()
+    }
+    wide = SimConfig(
+        task=TaskSpec(kind="logistic", dim=100_000, samples_per_client=100),
+        topology=TopologySpec(kind="k-regular", degree=8),
+        aggregator=AggregatorSpec(kind="balance"),
+        attack=AttackSpec(kind="gaussian", consistent_sketch=False),
+        n_nodes=16, byz_fraction=0.25, rounds=2, local_epochs=1,
+    )
+    cells[("wide", 1000)] = _in_run_distortion(monkeypatch, wide, (1000,))[1000]
+    over = [f"{cell} {q:.3f}" for cell, q in cells.items() if q > epsilon_hat(cell[1])]
+    worst = {k: max(q for (_, width), q in cells.items() if width == k) for k in (64, 256, 1000)}
+    report(2, "in-run distortion", not over,
+           "worst q99.9 of |ratio-1| per width: "
+           + ", ".join(f"k={k} {q:.3f} (epsilon_hat {epsilon_hat(k):.3f})" for k, q in worst.items())
+           + (f"; over epsilon_hat: {', '.join(over)}" if over else ""))
 
 
 def test_criterion_03_gamma_eff_formula():

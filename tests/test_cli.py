@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the built-in check suites."""
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,15 @@ from sketchdfl.cli import (
     EXIT_DIVERGENCE,
     EXIT_INVARIANT,
     EXIT_OK,
+    _build_parser,
     _parse_fractions,
     _parse_masters,
     main,
 )
 from sketchdfl.config import parse_config_text
 from sketchdfl.errors import ConfigurationError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY = """
 [task]
@@ -260,23 +264,6 @@ def test_run_checks_reports_failures_without_raising(monkeypatch):
     assert any(line.startswith("FAIL sketch:boom") for line in lines)
 
 
-# ----------------------------------------------------------------- calibrate
-
-def test_calibrate_writes_table(tmp_path, capsys):
-    out = tmp_path / "cal" / "table.csv"
-    code = main(["calibrate", "--out", str(out), "--pairs", "40"])
-    assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == "k,epsilon_hat,violation_rate"
-    assert len(lines) == 1 + 7  # default width ladder
-    assert "fitted coefficient" in capsys.readouterr().out
-
-
-def test_calibrate_rejects_bad_pairs(capsys):
-    assert main(["calibrate", "--pairs", "0"]) == EXIT_CONFIG
-    assert "--pairs" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------------- plumbing
 
 def test_version_flag():
@@ -289,3 +276,16 @@ def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["teleport"])
     assert exc.value.code == 2
+
+
+def test_readme_names_only_commands_that_exist(capsys):
+    # a subcommand at the start of a code line or inside backticks, and any scripts/*.py path
+    text = README.read_text()
+    commands = set(re.findall(r"(?:^|`)sketchdfl ([a-z][\w-]*)", text, re.MULTILINE))
+    scripts = set(re.findall(r"\bscripts/[\w./-]+\.py", text))
+    assert commands and scripts, "the patterns no longer find the README's commands"
+    for command in sorted(commands):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0, f"README names unknown subcommand {command!r}"
+    assert [s for s in sorted(scripts) if not (README.parent / s).is_file()] == []

@@ -550,6 +550,15 @@ def test_bench_dims_fixed_sketch_cost():
     assert not any(r.truncated for r in rows)
 
 
+def test_bench_dims_runs_small_rungs_at_a_large_natural_size():
+    # natural size 10 * (300 + 1) = 3010: the two lower rungs collapse onto it
+    task = TaskSpec(kind="logistic", features=300, samples_per_client=8, test_samples=16)
+    rows = bench("dims", config=bench_base(task=task), dim_ladder=(2000, 3000, 10_000))
+    balance = [(r.x_value, r.screen_ops) for r in rows if r.aggregator == "balance"]
+    # full-precision screening costs dim multiply-adds per neighbor
+    assert balance == [(3010, 3010.0 * 8), (10_000, 10_000.0 * 8)]
+
+
 def test_bench_degree_grows_screening_linearly():
     rows = bench("degree", degree_ladder=((4, 12), (8, 12)))
     sf = [r for r in rows if r.aggregator == "sketchfilter"]
