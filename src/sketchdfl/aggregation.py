@@ -8,13 +8,16 @@ selection (krum).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .sketch import Sketch, _distance, sketch_distance
+# sketch_distance is not called here, but perfbench/tracing.py patches
+# aggregation.sketch_distance, so the name stays
+from .sketch import Sketch, _distance, sketch_distance, sketch_distances  # noqa: F401
 
 AGGREGATOR_KINDS = ("dfedavg", "krum", "balance", "sketchfilter")
 SKETCH_KINDS = ("sketchfilter",)
@@ -111,9 +114,12 @@ def sketch_filter(
 ) -> FilterOutcome:
     """Same screening rule computed entirely in sketch space."""
     threshold = adaptive_threshold(gamma, kappa, t, rounds, self_sketch.norm())
-    distances = {
-        j: sketch_distance(self_sketch, s) for j, s in neighbor_sketches.items()
-    }
+    # one receiver's neighbours at a time: a whole round's (edges, k) gather
+    # would add an edge-count-sized array to the peak
+    distances = dict(zip(
+        neighbor_sketches,
+        sketch_distances(self_sketch, list(neighbor_sketches.values())),
+    ))
     return _filter_by_distance(distances, threshold)
 
 
@@ -184,9 +190,87 @@ def _pairwise_sq_distances(stack: np.ndarray) -> np.ndarray:
     return sq
 
 
-def krum_select_index(models: Sequence[np.ndarray], f: int) -> int:
+class PairTable:
+    """Squared distances between every two vectors that meet in a pool,
+    each unordered pair computed once however many pools hold it.
+
+    `pools` maps a key to the vector ids of one pool, in pool order; the
+    layout is fixed here. `compute(vectors)` returns one flat table for a
+    list of vectors indexed by id, and `submatrix(table, key)` reads that
+    pool's (m, m) matrix out of it. Memory grows with the number of distinct
+    pairs, not with the number of vectors squared, and the distances go
+    through a buffer of at most BATCH_BYTES.
+    """
+
+    BATCH_BYTES = 1 << 20
+
+    def __init__(self, pools: Mapping[object, Sequence[int]]) -> None:
+        slots: dict[tuple[int, int], int] = {}
+        self._positions: dict[object, np.ndarray] = {}
+        for key, ids in pools.items():
+            m = len(ids)
+            # the diagonal reads slot -1, the table's trailing 0.0
+            pos = np.full((m, m), -1, dtype=np.intp)
+            for r in range(m):
+                for c in range(r + 1, m):
+                    pair = (ids[r], ids[c]) if ids[r] <= ids[c] else (ids[c], ids[r])
+                    pos[r, c] = pos[c, r] = slots.setdefault(pair, len(slots))
+            self._positions[key] = pos
+        # grouped by the lower id: one anchor is subtracted from its partners
+        partners: dict[int, list[tuple[int, int]]] = {}
+        for (a, b), slot in slots.items():
+            partners.setdefault(a, []).append((b, slot))
+        self._anchors = [
+            (a, [b for b, _ in row], np.array([slot for _, slot in row], dtype=np.intp))
+            for a, row in sorted(partners.items())
+        ]
+        self.n_pairs = len(slots)
+
+    def compute(self, vectors: Sequence[np.ndarray], threads: int = 1) -> np.ndarray:
+        """Flat table of the layout's squared distances, plus a trailing
+        0.0. Each entry is bitwise the `_pairwise_sq_distances` entry of the
+        same two vectors: the same squares ((b - a)² is exactly (a - b)²)
+        summed by the same row reduction, without BLAS. With threads > 1
+        the anchors are dealt out to that many threads, each with its own
+        buffer; no entry depends on which thread computes it."""
+        table = np.zeros(self.n_pairs + 1)
+        if not self._anchors:
+            return table
+        d = len(vectors[self._anchors[0][0]])
+        rows = min(max(1, self.BATCH_BYTES // (8 * d)),
+                   max(len(row) for _, row, _ in self._anchors))
+
+        def fill(anchors: list) -> None:
+            buf = np.empty((rows, d))
+            for a, row, slots in anchors:
+                anchor = vectors[a]
+                for lo in range(0, len(row), rows):
+                    chunk = row[lo: lo + rows]
+                    block = buf[: len(chunk)]
+                    for r, b in enumerate(chunk):
+                        np.subtract(vectors[b], anchor, out=block[r])
+                    np.multiply(block, block, out=block)
+                    table[slots[lo: lo + len(chunk)]] = np.add.reduce(block, axis=1)
+
+        if threads <= 1:
+            fill(self._anchors)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(fill, [self._anchors[w::threads] for w in range(threads)]))
+        return table
+
+    def submatrix(self, table: np.ndarray, key: object) -> np.ndarray:
+        """The (m, m) squared-distance matrix of pool `key`."""
+        return table[self._positions[key]]
+
+
+def krum_select_index(
+    models: Sequence[np.ndarray], f: int, sq: np.ndarray | None = None
+) -> int:
     """Index of the model whose summed squared distance to its n-f-2
-    nearest peers is smallest (first index on ties)."""
+    nearest peers is smallest (first index on ties). `sq`, when given, is
+    the models' (n, n) squared-distance matrix, as a PairTable submatrix
+    gives it; else it is computed here."""
     n = len(models)
     if f < 0:
         raise ConfigurationError(f"f must be >= 0, got {f}")
@@ -194,11 +278,16 @@ def krum_select_index(models: Sequence[np.ndarray], f: int) -> int:
         raise ConfigurationError(
             f"krum needs at least f+3 = {f + 3} models, got {n}"
         )
-    sq = _pairwise_sq_distances(np.stack(models))
-    keep = n - f - 2
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(sq[i], i)
-        others.sort()
-        scores[i] = others[:keep].sum()
-    return int(np.argmin(scores))
+    if sq is None:
+        sq = _pairwise_sq_distances(np.stack(models))
+    return int(np.argmin(_krum_scores(sq, n - f - 2)))
+
+
+def _krum_scores(sq: np.ndarray, keep: int) -> np.ndarray:
+    """Each row's sum of its `keep` smallest off-diagonal entries, all rows
+    at once; each sum adds the same sorted elements in the same pairwise
+    order as a sort and sum of that row alone."""
+    n = len(sq)
+    # drop the diagonal: after the first entry, every (n + 1)-th is diagonal
+    others = sq.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].reshape(n, n - 1)
+    return np.add.reduce(np.sort(others, axis=1)[:, :keep], axis=1)

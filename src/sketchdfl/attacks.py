@@ -78,7 +78,11 @@ def apply_attack(
     if spec.kind == "none":
         return honest_update
     if spec.kind == "gaussian":
-        return honest_update + spec.sigma * rng.standard_normal(honest_update.shape)
+        # in place, bitwise honest_update + sigma * noise
+        noise = rng.standard_normal(honest_update.shape)
+        noise *= spec.sigma
+        noise += honest_update
+        return noise
     return ctx.honest_mean - spec.lam * np.sign(ctx.honest_direction)
 
 

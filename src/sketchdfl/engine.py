@@ -28,6 +28,7 @@ from . import __version__
 from .aggregation import (
     SKETCH_KINDS,
     AggregatorSpec,
+    PairTable,
     aggregate_mixed,
     balance_filter,
     dfedavg_aggregate,
@@ -265,6 +266,16 @@ def run_simulation(
     eval_set = ((data.features[honest], data.labels[honest]) if config.per_client_eval
                 else (data.test_features, data.test_labels))
 
+    if kind == "krum":
+        # vector ids: j is what node j sends; an attacker screens with its
+        # own trained model, id n + i, which differs from what it sent
+        own = [config.n_nodes + i if attacking and i in byz_set else i
+               for i in range(config.n_nodes)]
+        krum_pairs = PairTable({
+            i: [own[i], *graph.neighbors[i]]
+            for i in range(config.n_nodes) if graph.degree(i) >= 2  # pools of 3 or more
+        })
+
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
         trained = local_update(
@@ -307,6 +318,13 @@ def run_simulation(
                             params, transmit[j], tx_sketch[j], agg.rel_tol
                         )
 
+        if kind == "krum":
+            # Simulation shortcut, like the one verify per sender above: each
+            # pair of models that meets in some pool is measured once a round
+            # and shared by every pool that holds it. The modelled screen_ops
+            # still bill each receiver for every pair of its own pool.
+            krum_sq = krum_pairs.compute([*transmit, *trained], config.threads)
+
         mixed = models if t else np.empty_like(trained)  # round 0: read-only init broadcast
 
         def settle(i: int) -> tuple[list[int], bool]:
@@ -320,7 +338,8 @@ def run_simulation(
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
                 chosen = 0  # krum is undefined below 3 models: keep own model
                 if len(pool) >= 3:
-                    chosen = krum_select_index(pool, _krum_f(config, len(pool)))
+                    chosen = krum_select_index(pool, _krum_f(config, len(pool)),
+                                               sq=krum_pairs.submatrix(krum_sq, i))
                 mixed[i] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -91,12 +92,16 @@ def derive_hash(params: SketchParams, index: int) -> tuple[int, int]:
 def hash_tables(params: SketchParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (buckets, signs) arrays of length dim for a hash family.
 
-    Cached: the engine reuses one family for every sketch of a run.
+    Cached: the engine reuses one family for every sketch of a run. Both
+    arrays are read-only. `buckets` is a view whose writeable base is kept
+    for compute_sketch's fold alone: np.bincount copies a read-only index
+    array on every call, and the base lives and dies with this cache entry.
     """
     idx = np.arange(params.dim, dtype=np.uint64)
     m = _mix64_array(np.uint64(params.seed & _MASK64) ^ idx)
-    buckets = (m % np.uint64(params.width)).astype(np.int64)
+    fold_buckets = (m % np.uint64(params.width)).astype(np.int64)
     signs = np.where(_mix64_array(m) >> np.uint64(63) == 0, 1.0, -1.0)
+    buckets = fold_buckets.view()
     buckets.setflags(write=False)
     signs.setflags(write=False)
     return buckets, signs
@@ -147,7 +152,7 @@ def compute_sketch(params: SketchParams, vector: np.ndarray) -> Sketch:
             f"vector has shape {vector.shape}, hash family expects ({params.dim},)"
         )
     buckets, signs = hash_tables(params)
-    values = fold_with_tables(vector, buckets, signs, params.width)
+    values = fold_with_tables(vector, buckets.base, signs, params.width)
     values.setflags(write=False)
     return Sketch(values=values, fingerprint=params.fingerprint)
 
@@ -159,6 +164,22 @@ def sketch_distance(a: Sketch, b: Sketch) -> float:
             "sketch fingerprints differ; sketches come from different hash families"
         )
     return _distance(a.values, b.values)
+
+
+def sketch_distances(a: Sketch, others: Sequence[Sketch]) -> list[float]:
+    """sketch_distance(a, b) for each b in others, bit for bit, in one pass
+    over their stacked (len(others), width) values: each row is the same
+    pairwise sum of the same squares ((b - a)² is exactly (a - b)²)."""
+    if any(b.fingerprint != a.fingerprint for b in others):
+        raise ProtocolError(
+            "sketch fingerprints differ; sketches come from different hash families"
+        )
+    if not others:
+        return []
+    sq = np.stack([b.values for b in others])
+    np.subtract(sq, a.values, out=sq)
+    np.multiply(sq, sq, out=sq)
+    return [math.sqrt(x) for x in np.add.reduce(sq, axis=1).tolist()]
 
 
 def verify_model_against_sketch(

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from sketchdfl.aggregation import (
     AggregatorSpec,
+    PairTable,
+    _krum_scores,
     _pairwise_sq_distances,
     adaptive_threshold,
     aggregate_mixed,
@@ -97,6 +99,30 @@ def test_sketch_filter_rejects_foreign_family():
     with pytest.raises(ProtocolError):
         sketch_filter(compute_sketch(a, w), {1: compute_sketch(b, w)},
                       gamma=2.0, kappa=1.0, t=0, rounds=10)
+
+
+def test_sketch_filter_distances_match_per_pair_sketch_distance_bitwise():
+    # one batched (deg, k) pass must give each neighbour the bits of its own
+    # sketch_distance call; k = 1000 reaches numpy's unrolled pairwise sum
+    params = SketchParams(dim=20_000, width=1000, seed=4)
+    rng = np.random.default_rng(4)
+    me = compute_sketch(params, rng.normal(size=20_000))
+    nbrs = {j: compute_sketch(params, rng.normal(scale=10.0 ** (j - 8), size=20_000))
+            for j in (3, 9, 1, 16, 12)}
+    out = sketch_filter(me, nbrs, gamma=1.0, kappa=1.0, t=0, rounds=5)
+    assert list(out.distances) == list(nbrs)
+    for j, s in nbrs.items():
+        assert out.distances[j] == sketch_distance(me, s)
+        assert type(out.distances[j]) is float
+
+
+def test_sketch_filter_rejects_one_foreign_sketch_among_many():
+    a = SketchParams(dim=30, width=10, seed=1)
+    b = SketchParams(dim=30, width=10, seed=2)
+    w = np.ones(30)
+    nbrs = {1: compute_sketch(a, w), 2: compute_sketch(b, w), 3: compute_sketch(a, 2 * w)}
+    with pytest.raises(ProtocolError):
+        sketch_filter(compute_sketch(a, w), nbrs, gamma=2.0, kappa=1.0, t=0, rounds=10)
 
 
 def test_aggregate_mixed_known_value():
@@ -245,6 +271,101 @@ def test_full_and_sketch_distances_match_sum_of_squares_bitwise():
     a, b = Sketch(me, fingerprint=1), Sketch(nbrs[1], fingerprint=1)
     assert a.norm() == np.sqrt(np.sum(me**2))
     assert sketch_distance(a, b) == np.sqrt(np.sum((me - nbrs[1]) ** 2))
+
+
+def _loop_krum_scores(sq, keep):
+    # the per-candidate delete, sort and sum that the batched scorer replaced
+    scores = np.empty(len(sq))
+    for i in range(len(sq)):
+        others = np.delete(sq[i], i)
+        others.sort()
+        scores[i] = others[:keep].sum()
+    return scores
+
+
+def test_krum_scores_match_per_candidate_loop_bitwise():
+    # up to 40 candidates, so kept sums reach numpy's unrolled pairwise sum
+    rng = np.random.default_rng(21)
+    for m in (3, 4, 9, 17, 26, 40):
+        sq = _pairwise_sq_distances(rng.normal(size=(m, 300)) * 10.0 ** rng.uniform(-6, 6, size=(m, 1)))
+        for f in range(m - 2):
+            keep = m - f - 2
+            assert _krum_scores(sq, keep).tobytes() == _loop_krum_scores(sq, keep).tobytes()
+
+
+def _pools(rng, n_vectors, n_pools):
+    return {key: [int(v) for v in rng.choice(n_vectors, size=int(rng.integers(3, 9)), replace=False)]
+            for key in range(n_pools)}
+
+
+def _vectors(rng, n, d):
+    """Rows with ties and repeats: a cluster of identical vectors, as
+    colluding attackers send, equidistant pairs, and scattered rows."""
+    base = rng.normal(size=d)
+    vectors = [rng.normal(size=d) for _ in range(n)]
+    for v in (1, 4, 7):
+        vectors[v] = base.copy()           # distinct ids, equal models
+    vectors[9] = vectors[2] + 1.0
+    vectors[10] = vectors[2] - 1.0         # 9 and 10 tie as seen from 2
+    return vectors
+
+
+def test_pair_table_matches_the_stacked_pool_bitwise():
+    rng = np.random.default_rng(22)
+    vectors = _vectors(rng, 14, 2_000)
+    pools = _pools(rng, len(vectors), 25)
+    table = PairTable(pools)
+    flat = table.compute(vectors)
+    for key, ids in pools.items():
+        stacked = _pairwise_sq_distances(np.stack([vectors[v] for v in ids]))
+        sub = table.submatrix(flat, key)
+        assert sub.tobytes() == stacked.tobytes()
+        models = [vectors[v] for v in ids]
+        for f in range(len(ids) - 2):
+            assert krum_select_index(models, f, sq=sub) == krum_select_index(models, f)
+
+
+def test_pair_table_keeps_krum_choice_on_inf_and_nan():
+    rng = np.random.default_rng(23)
+    vectors = _vectors(rng, 14, 50)
+    vectors[3][5] = np.inf
+    vectors[5][5] = np.inf       # inf - inf: a NaN distance between 3 and 5
+    vectors[6][0] = -np.inf
+    vectors[8][11] = np.nan
+    vectors[12][:] = 1e200       # finite vectors whose squares overflow to inf
+    pools = {**_pools(rng, len(vectors), 40), "all": list(range(len(vectors)))}
+    table = PairTable(pools)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = table.compute(vectors)
+        for key, ids in pools.items():
+            models = [vectors[v] for v in ids]
+            stacked = _pairwise_sq_distances(np.stack(models))
+            sub = table.submatrix(flat, key)
+            assert np.array_equal(sub, stacked, equal_nan=True)
+            for f in range(len(ids) - 2):
+                assert krum_select_index(models, f, sq=sub) == krum_select_index(models, f)
+    assert np.isnan(flat).any() and np.isinf(flat).any()
+
+
+def test_pair_table_batches_bitwise_and_holds_only_needed_pairs():
+    # pools overlap heavily, so most pairs sit in several pools; a 3-row
+    # batch splits most anchors' partners into full and partial blocks
+    class ThreeRows(PairTable):
+        BATCH_BYTES = 3 * 8 * 500
+
+    rng = np.random.default_rng(24)
+    vectors = [rng.normal(size=500) for _ in range(12)]
+    pools = _pools(rng, len(vectors), 30)
+    needed = {frozenset((a, b)) for ids in pools.values() for a in ids for b in ids if a != b}
+    assert sum(len(ids) * (len(ids) - 1) // 2 for ids in pools.values()) > 2 * len(needed)
+    table = ThreeRows(pools)
+    assert table.n_pairs == len(needed)
+    flat = table.compute(vectors)
+    assert flat.shape == (len(needed) + 1,) and flat[-1] == 0.0
+    assert table.compute(vectors, threads=2).tobytes() == flat.tobytes()
+    for key, ids in pools.items():
+        want = _pairwise_sq_distances(np.stack([vectors[v] for v in ids]))
+        assert table.submatrix(flat, key).tobytes() == want.tobytes()
 
 
 def test_krum_needs_enough_models():

@@ -54,6 +54,18 @@ def test_gaussian_attack_adds_seeded_noise():
     assert abs(a.mean()) < 0.3
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.3])
+def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
+    before = w.copy()
+    got = apply_attack(AttackSpec(kind="gaussian", sigma=sigma), w, ctx(5_000),
+                       np.random.default_rng(8))
+    want = w + sigma * np.random.default_rng(8).standard_normal(w.shape)
+    assert got.tobytes() == want.tobytes()
+    assert w.tobytes() == before.tobytes()
+
+
 def test_gaussian_attackers_are_independent():
     w = np.zeros(100)
     spec = AttackSpec(kind="gaussian", sigma=1.0)

@@ -12,7 +12,7 @@ import pytest
 
 import sketchdfl.engine as engine
 import sketchdfl.sketch as sketch
-from sketchdfl.aggregation import AggregatorSpec
+from sketchdfl.aggregation import AggregatorSpec, PairTable
 from sketchdfl.attacks import AttackSpec
 from sketchdfl.config import parse_config
 from sketchdfl.engine import (
@@ -32,7 +32,7 @@ from sketchdfl.engine import (
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.io import metrics_csv_text
 from sketchdfl.learning import TaskSpec, generate_federated_data
-from sketchdfl.topology import TopologySpec, sample_byzantine_nodes
+from sketchdfl.topology import TopologySpec, build_topology, sample_byzantine_nodes
 
 ROBUSTNESS_INI = Path(__file__).resolve().parent.parent / "configs" / "robustness.ini"
 
@@ -293,13 +293,67 @@ def test_krum_f_override_and_derivation():
 @pytest.mark.parametrize("chosen, accept_frac", [(0, 0.0), (1, 0.25)])
 def test_krum_accept_frac_counts_only_a_chosen_neighbour(monkeypatch, chosen, accept_frac):
     # index 0 of the pool is the node's own model: keeping it accepts no neighbour
-    monkeypatch.setattr(engine, "krum_select_index", lambda pool, f: chosen)
+    monkeypatch.setattr(engine, "krum_select_index", lambda pool, f, sq=None: chosen)
     cfg = tiny_config(
         aggregator=AggregatorSpec(kind="krum"),
         topology=TopologySpec(kind="k-regular", degree=4),
     )
     res = run_simulation(cfg)
     assert [m.accept_frac for m in res.metrics] == [accept_frac] * cfg.rounds
+
+
+class _Tagged(np.ndarray):
+    """A vector that logs the ids of every subtraction it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.subtract:
+            self.log.append(frozenset(x.tag for x in inputs))
+        plain = [x.view(np.ndarray) if isinstance(x, _Tagged) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("attack, threads", [("none", 1), ("directed-deviation", 1),
+                                            ("directed-deviation", 2)])
+def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads):
+    # directed-deviation attackers all send one model but screen with their
+    # own: both ids must be measured, and each distinct pair only once
+    cfg = tiny_config(
+        aggregator=AggregatorSpec(kind="krum"),
+        topology=TopologySpec(kind="erdos-renyi", p=0.5),
+        n_nodes=12,
+        byz_fraction=0.25,
+        attack=AttackSpec(kind=attack),
+        threads=threads,
+    )
+    rounds: list[list] = []
+
+    class RecordingTable(PairTable):
+        def compute(self, vectors, threads=1):
+            log: list = []
+            rounds.append(log)
+            tagged = [w.view(_Tagged) for w in vectors]
+            for v, w in enumerate(tagged):
+                w.tag, w.log = v, log
+            return super().compute(tagged, threads)
+
+    monkeypatch.setattr(engine, "PairTable", RecordingTable)
+    res = run_simulation(cfg)
+    n = cfg.n_nodes
+    graph = build_topology(cfg.topology, n, cfg.seeds.topology)
+    byz = set(res.manifest["byzantine_nodes"])
+    own = [n + i if i in byz and attack != "none" else i for i in range(n)]
+    pools = [[own[i], *graph.neighbors[i]] for i in range(n) if graph.degree(i) >= 2]
+    needed = {frozenset((a, b)) for ids in pools for a in ids for b in ids if a != b}
+    per_node = sum(len(ids) * (len(ids) - 1) // 2 for ids in pools)
+    assert len(rounds) == cfg.rounds and len(needed) < per_node
+    for log in rounds:
+        assert len(log) == len(set(log)) and set(log) == needed
+    # the modelled cost still bills every receiver for its whole pool
+    d = res.final_models.shape[1]
+    honest = [i for i in range(n) if i not in byz]
+    for m in res.metrics:
+        assert m.screen_ops_mean == np.mean([
+            d * graph.degree(i) * (graph.degree(i) + 1) // 2 for i in honest])
 
 
 # ------------------------------------------------------------- config guards

@@ -4,6 +4,10 @@ Golden values below were produced by a standalone scalar reference
 implementation of the 64-bit finalizer (pure-int arithmetic, written
 independently of the package) and frozen here.
 """
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +75,46 @@ def test_tables_agree_with_scalar_rule(dim, width_frac, seed):
         b, s = derive_hash(params, i)
         assert buckets[i] == b
         assert signs[i] == s
+
+
+def test_tables_are_read_only_and_fold_from_the_cache_entry():
+    params = SketchParams(dim=2_000, width=64, seed=3)
+    buckets, signs = hash_tables(params)
+    for table in (buckets, signs):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    # the fold reads the writeable base of the cached view, not a copy
+    assert buckets.base.flags.writeable
+    assert np.array_equal(buckets.base, buckets)
+    w = np.random.default_rng(3).normal(size=2_000)
+    want = np.bincount(buckets, weights=signs * w, minlength=64)
+    assert compute_sketch(params, w).values.tobytes() == want.tobytes()
+
+
+def test_compute_sketch_does_not_copy_the_bucket_table():
+    # one fold's temporaries: signs * vector and the sketch (0.81 MB); a
+    # copy of the 800 KB bucket table would push the peak to 1.61 MB
+    params = SketchParams(dim=100_000, width=1000, seed=5)
+    w = np.random.default_rng(5).normal(size=100_000)
+    hash_tables(params)
+    tracemalloc.start()
+    try:
+        compute_sketch(params, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_cache_clear_frees_the_fold_table():
+    params = SketchParams(dim=3_000, width=50, seed=6)
+    buckets, signs = hash_tables(params)
+    base = weakref.ref(buckets.base)
+    del buckets, signs
+    hash_tables.cache_clear()
+    gc.collect()
+    assert base() is None
 
 
 def test_tables_deterministic_and_seed_sensitive():
