@@ -131,8 +131,8 @@ def aggregate_mixed(
 ) -> np.ndarray:
     """alpha * self + (1 - alpha) * mean(accepted), summing in ascending
     node-id order so results are bit-reproducible. Written into `out` when
-    given (which is returned), else into a new array; both give the same
-    bits."""
+    given (which is returned, and may be self_model itself), else into a
+    new array; all give the same bits."""
     if not 0 <= alpha <= 1:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
     if out is None:
@@ -159,8 +159,9 @@ def dfedavg_aggregate(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform mean over self and every neighbor, no screening. Written
-    into `out` when given (which is returned, and must not be a neighbor's
-    model), else into a new array; both give the same bits."""
+    into `out` when given (which is returned, may be self_model itself,
+    and must not be a neighbor's model), else into a new array; all give
+    the same bits."""
     if out is None:
         out = np.empty_like(self_model)
     np.copyto(out, self_model)

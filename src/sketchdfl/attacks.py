@@ -68,22 +68,34 @@ def apply_attack(
     honest_update: np.ndarray,
     ctx: AttackContext,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Model an attacker transmits in place of its honest update.
 
     gaussian: independent noise per attacker. directed-deviation: all
     attackers collude on one vector pushing against the honest mean's
     movement, so it ignores both the honest update and the rng.
+
+    The transmission is written into `out` when given (a C-contiguous
+    float64 vector that is not the honest update, and is returned), else
+    into a new array; both give the same bits. kind="none" writes nothing
+    and returns honest_update itself.
     """
     if spec.kind == "none":
         return honest_update
+    if out is None:
+        out = np.empty_like(honest_update)
     if spec.kind == "gaussian":
-        # in place, bitwise honest_update + sigma * noise
-        noise = rng.standard_normal(honest_update.shape)
-        noise *= spec.sigma
-        noise += honest_update
-        return noise
-    return ctx.honest_mean - spec.lam * np.sign(ctx.honest_direction)
+        # bitwise honest_update + sigma * standard_normal(shape)
+        rng.standard_normal(out=out)
+        out *= spec.sigma
+        out += honest_update
+        return out
+    # bitwise honest_mean - lam * sign(honest_direction)
+    mean = ctx.honest_mean
+    np.sign(ctx.honest_direction, out=out)
+    out *= spec.lam
+    return np.subtract(mean, out, out=out)
 
 
 def attacker_message(

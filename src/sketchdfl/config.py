@@ -14,6 +14,7 @@ configs replay exactly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Callable
@@ -34,12 +35,24 @@ def _converter(parse: Callable[[str], object], expected: str) -> Callable[[str, 
     return convert
 
 
+_number = _converter(float, "a number")
+
+
+def _finite(raw: str, path: str) -> float:
+    # float() also reads nan, inf and -inf, which no config value may take:
+    # they would pass every range check that a comparison makes
+    value = _number(raw, path)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{path}: expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 # one converter per field annotation (a string, under postponed evaluation);
 # a config field with any other annotation is refused when the schema is built
 _CONVERTERS = {
     "str": lambda raw, path: raw.strip(),
     "int": _converter(int, "an integer"),
-    "float": _converter(float, "a number"),
+    "float": _finite,
     "bool": _converter(lambda s: _BOOL[s.lower()], "a boolean"),
     "int | None": _converter(lambda s: None if s.lower() in ("", "none") else int(s), "an integer"),
 }

@@ -7,9 +7,15 @@ construction; the modelled agg_ops still bill every receiver's check),
 then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
 the check. A run holds two (n, d) model stacks in fixed roles: lockstep
-training always writes the spare, and settlement always overwrites the
-round-start stack, after the attack phase, its last reader. The thread
-pool runs sketching and settlement. Phases are bulk-synchronous:
+training always writes the spare, and the round-start stack (a fresh
+one in round 0, whose start is a read-only broadcast) takes the new
+models. Each attacker writes its transmission into its own round-start
+row, which no one else reads once training is done. Honest nodes settle
+into their round-start rows; each attacker settles into its trained
+row, which only it reads, and that row is copied back after settlement.
+Evaluation scores the honest models in blocks of bounded size. So after
+round 0 no phase allocates another (n, d) array, or a row per attacker.
+The thread pool runs sketching and settlement. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
 reductions run in node-id order, so results are byte-identical whatever
@@ -285,6 +291,8 @@ def run_simulation(
             out=spare,
         )
 
+        mixed = models if t else np.empty_like(trained)  # round 0: read-only init broadcast
+
         # Phase 2: what each node puts on the wire. Every receiver gets the
         # same (model, sketch) pair from a sender, so whether j's model
         # matches its advertised sketch is one answer per sender and round;
@@ -302,12 +310,15 @@ def run_simulation(
             )
             tx_sketch = list(own_sketch)
         if attacking:
-            # ctx.previous views the round-start rows, which settlement overwrites
+            # ctx.previous views the honest round-start rows, which
+            # settlement overwrites; each attacker transmits from its own
+            # round-start row, which no one else reads
             ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
             for j in byz:
                 transmit[j] = apply_attack(
                     config.attack, trained[j], ctx,
                     node_stream(config.seeds.attack, t, j, tag=2),
+                    out=mixed[j],
                 )
                 if sketching:
                     tx_sketch[j] = attacker_message(
@@ -317,6 +328,7 @@ def run_simulation(
                         verified[j] = verify_model_against_sketch(
                             params, transmit[j], tx_sketch[j], agg.rel_tol
                         )
+            del ctx  # directed-deviation's honest statistics
 
         if kind == "krum":
             # Simulation shortcut, like the one verify per sender above: each
@@ -325,14 +337,15 @@ def run_simulation(
             # still bill each receiver for every pair of its own pool.
             krum_sq = krum_pairs.compute([*transmit, *trained], config.threads)
 
-        mixed = models if t else np.empty_like(trained)  # round 0: read-only init broadcast
-
         def settle(i: int) -> tuple[list[int], bool]:
-            """Writes node i's new model into mixed[i]; returns
+            """Writes node i's new model into mixed[i], or, for an attacker
+            whose transmission mixed[i] holds until every receiver has read
+            it, into its trained row, which only it reads; returns
             (screening-accepted neighbors, fallback used)."""
             nbrs = graph.neighbors[i]
+            dest = trained[i] if attacking and i in byz_set else mixed[i]
             if kind == "dfedavg":
-                dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs}, out=mixed[i])
+                dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs}, out=dest)
                 return list(nbrs), False
             if kind == "krum":
                 pool = [trained[i]] + [transmit[j] for j in nbrs]
@@ -340,7 +353,7 @@ def run_simulation(
                 if len(pool) >= 3:
                     chosen = krum_select_index(pool, _krum_f(config, len(pool)),
                                                sq=krum_pairs.submatrix(krum_sq, i))
-                mixed[i] = pool[chosen]
+                dest[...] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
                 screened = sketch_filter(
@@ -353,12 +366,15 @@ def run_simulation(
                     agg.gamma, agg.kappa, t, config.rounds,
                 )
             if chosen := {j: transmit[j] for j in screened.accepted if verified[j]}:
-                aggregate_mixed(trained[i], chosen, agg.alpha, out=mixed[i])
+                aggregate_mixed(trained[i], chosen, agg.alpha, out=dest)
             else:
-                mixed[i] = trained[i]
+                dest[...] = trained[i]
             return screened.accepted, screened.fallback_used
 
         accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
+        if attacking:
+            for j in byz:  # row by row: mixed[byz] = trained[byz] gathers a copy first
+                mixed[j] = trained[j]
         models = mixed
 
         # modelled costs are per receiver: each node pays for its own fetches

@@ -19,11 +19,11 @@ A task's `grad` and `error_rate` take one model `(dim,)` or a stack
 round trains and is scored in lockstep. Stacks go through `np.matmul`,
 which makes the same BLAS call on each slice as on a single model, so a
 stacked result is bitwise the per-model one. `einsum` does not keep
-those bits. Folding every model's classes into the M side of one GEMM
-against a shared held-out set does: each score is still one dot product
-over the same p+1 terms in the same order, and
-`tests/test_blas_determinism.py` pins the folded scores against the
-per-model products at one and two BLAS threads.
+those bits. Folding a block of models' classes into the M side of one
+GEMM against a shared held-out set does: each score is still one dot
+product over the same p+1 terms in the same order, and
+`tests/test_blas_determinism.py` pins the folded scores, whole and by
+block, against the per-model products at one and two BLAS threads.
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def _error_fraction(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     class into one (..., N) array rather than a (..., C, N) mask."""
     lead, (C, N) = scores.shape[:-2], scores.shape[-2:]
     s = scores.reshape(-1, C, N)
-    y = np.broadcast_to(y, (*lead, N)).reshape(-1, N)
+    y = np.reshape(y, (-1, N))   # (1, N) for a shared set: broadcast, never copied
     at = np.arange(len(s))[:, None] * C + y   # flat index of each label's score
     at *= N
     at += np.arange(N)
@@ -183,11 +183,12 @@ def _error_fraction(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     del at
     top = np.maximum.reduce(s, axis=1)
     wrong = mine < top
+    del mine
     hits = np.zeros(top.shape, dtype=np.min_scalar_type(C))
     for c in range(C):
         hits += s[:, c] == top
     m, t = np.nonzero(hits != 1)   # tied, or NaN (equal to nothing)
-    wrong[m, t] = np.argmax(s[m, :, t], axis=-1) != y[m, t]
+    wrong[m, t] = np.argmax(s[m, :, t], axis=-1) != np.broadcast_to(y, wrong.shape)[m, t]
     return np.mean(wrong.reshape(*lead, N), axis=-1)
 
 
@@ -202,6 +203,7 @@ class QuadraticTask:
 
     kind = "quadratic"
     metric_name = "suboptimality"
+    eval_width = 1  # keeps no per-sample values: any block size will do
 
     def __init__(self, spec: TaskSpec, data: FederatedData):
         if not len(data.labels):
@@ -266,6 +268,8 @@ class LogisticTask:
     def __init__(self, spec: TaskSpec):
         self.spec = spec
         self.dim, self.active_dim = _resolve_dim(spec)
+        # C class scores, then the label's score beside the top score
+        self.eval_width = spec.classes + 2
 
     def _weights(self, w: np.ndarray) -> np.ndarray:
         s = self.spec
@@ -299,6 +303,11 @@ class TinyMlpTask:
         self.spec = spec
         self.dim, self.active_dim = _resolve_dim(spec)
         self._n1 = spec.hidden * (spec.features + 1)
+        # values per sample at each step's peak: tanh beside its bias-
+        # augmented copy, those activations beside the class scores, and
+        # the scores beside each sample's label and top score
+        h, c = spec.hidden, spec.classes
+        self.eval_width = max(2 * h + 1, h + 1 + c, c + 2)
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, lead = self.spec, w.shape[:-1]
@@ -460,13 +469,40 @@ def local_update(
     return w
 
 
+EVAL_BLOCK_BYTES = 4 << 20
+
+
+def _eval_block(task, n_samples: int) -> int:
+    """Models per evaluation block: the most whose `task.eval_width`
+    float64 values per held-out sample fit in EVAL_BLOCK_BYTES, and at
+    least one."""
+    return max(1, EVAL_BLOCK_BYTES // (8 * task.eval_width * n_samples))
+
+
 def test_error_rate(task, models: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The task's error metric for each model of an (n, dim) stack, on one
     shared set X (N, ·), y (N,) or on one set per model, X (n, N, ·), y (n, N),
     whose rows are laid out as `FederatedData` stores them.
 
+    Models are scored in blocks of consecutive rows. A block holds
+    `task.eval_width` float64 values per model and held-out sample at its
+    peak (its class scores among them), and that stays within
+    EVAL_BLOCK_BYTES, so the memory evaluation needs does not grow with n.
+    Each model's score is computed as it would be alone, so the blocks
+    give the bits of one call over the whole stack.
+
     Tasks read only `models[..., :task.active_dim]`, so a caller may pass
     just those columns: the padding never changes a score."""
-    if y.shape[-1] == 0:
+    N = y.shape[-1]
+    if N == 0:
         raise ConfigurationError("empty held-out set")
-    return task.error_rate(models, X, y)
+    block = _eval_block(task, N)
+    if models.ndim == 1 or len(models) <= block:
+        return task.error_rate(models, X, y)
+    shared = y.ndim == 1
+    out = np.empty(len(models))
+    for start in range(0, len(models), block):
+        rows = slice(start, start + block)
+        out[rows] = task.error_rate(models[rows], X if shared else X[rows],
+                                    y if shared else y[rows])
+    return out

@@ -199,6 +199,10 @@ def test_aggregate_mixed_into_out_is_bitwise_the_allocating_call(alpha):
     # every input is -0.0 here, but the sum starts from +0.0
     assert not np.signbit(want[:8]).any()
     assert _frozen(me, accepted) == before
+    # an attacker settles into its own trained row: out may be self_model
+    mine = me.copy()
+    assert aggregate_mixed(mine, accepted, alpha, out=mine) is mine
+    assert mine.tobytes() == want.tobytes()
     if alpha == 1.0:
         buf = np.full_like(me, np.nan)
         assert aggregate_mixed(me, {}, alpha, out=buf) is buf
@@ -219,6 +223,9 @@ def test_dfedavg_into_out_is_bitwise_the_allocating_call():
     assert got.tobytes() == want.tobytes() == reference.tobytes()
     assert np.signbit(want[:8]).all() and not np.signbit(want[16:24]).any()
     assert _frozen(me, neighbours) == before
+    mine = me.copy()  # out may be self_model
+    assert dfedavg_aggregate(mine, neighbours, out=mine) is mine
+    assert mine.tobytes() == want.tobytes()
 
 
 def test_krum_picks_cluster_member_not_outlier():

@@ -66,6 +66,33 @@ def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
     assert w.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("spec", [AttackSpec(kind="gaussian", sigma=1.0),
+                                  AttackSpec(kind="gaussian", sigma=0.3),
+                                  AttackSpec(kind="directed-deviation", lam=0.7)],
+                         ids=["gaussian-1.0", "gaussian-0.3", "directed-deviation"])
+def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
+    # the engine writes each attacker's transmission into its row of the
+    # round-start stack
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
+    before = w.copy()
+    c = ctx(5_000)
+    want = apply_attack(spec, w, c, np.random.default_rng(4))
+    stack = np.full((3, 5_000), np.nan)
+    got = apply_attack(spec, w, c, np.random.default_rng(4), out=stack[1])
+    assert np.shares_memory(got, stack[1]) and got.shape == (5_000,)
+    assert got.tobytes() == stack[1].tobytes() == want.tobytes()
+    assert np.isnan(stack[[0, 2]]).all()
+    assert w.tobytes() == before.tobytes()
+
+
+def test_none_attack_writes_nothing_into_out():
+    w, out = np.arange(8.0), np.full(8, np.nan)
+    assert apply_attack(AttackSpec(kind="none"), w, ctx(8), np.random.default_rng(0),
+                        out=out) is w
+    assert np.isnan(out).all()
+
+
 def test_gaussian_attackers_are_independent():
     w = np.zeros(100)
     spec = AttackSpec(kind="gaussian", sigma=1.0)

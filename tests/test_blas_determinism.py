@@ -10,7 +10,8 @@ Evaluation folds every model's classes into the M side of one GEMM against
 the shared held-out set. The probe asserts, at each thread count, that the
 folded scores are bitwise the per-model products `X @ W.T`, at the desk
 shape (16 models, 10 classes, 128 design columns, 2000 samples) and a
-wide one (48 models, 33 columns), and prints their digests for the
+wide one (48 models, 33 columns), both folded whole and in the blocks of
+models evaluation scores at a time, and prints their digests for the
 cross-count comparison.
 """
 import os
@@ -24,7 +25,7 @@ PROBE = """
 import hashlib
 import numpy as np
 from sketchdfl.aggregation import _pairwise_sq_distances, balance_filter
-from sketchdfl.learning import _class_scores
+from sketchdfl.learning import LogisticTask, TaskSpec, _class_scores, _eval_block
 from sketchdfl.sketch import Sketch, sketch_distance
 
 rng = np.random.default_rng(5)
@@ -41,6 +42,12 @@ for n, cols in ((16, 128), (48, 33)):
     per_model = np.stack([(X @ w.T).T for w in W])
     assert folded.tobytes() == per_model.tobytes(), (n, cols)
     print(hashlib.sha256(folded.tobytes()).hexdigest())
+    # evaluation folds at most one block of models into each GEMM
+    block = _eval_block(LogisticTask(TaskSpec(features=cols - 1)), len(X))
+    for start in range(0, n, block):
+        part = _class_scores(W[start:start + block], X)
+        assert part.tobytes() == per_model[start:start + block].tobytes(), (n, start)
+        print(len(part), hashlib.sha256(part.tobytes()).hexdigest())
 """
 
 

@@ -116,6 +116,18 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert "aggregator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("task", "concentration"), ("run", "lr"),
+                                          ("aggregator", "gamma"), ("attack", "sigma")])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, section, key, raw):
+    # before they were refused: a numpy ValueError (exit 1), a "divergence"
+    # (exit 4), or a silent run (exit 0)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert f"{section}.{key}: expected a finite number" in capsys.readouterr().err
+
+
 def test_infeasible_degree_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "odd.ini"
     cfg.write_text(

@@ -82,6 +82,19 @@ def test_type_errors_name_the_key_path():
         parse_config_text("[run]\nverification = maybe\n")
 
 
+NON_FINITE_KEYS = [("task", "concentration"), ("run", "lr"),
+                   ("aggregator", "gamma"), ("attack", "sigma")]
+
+
+@pytest.mark.parametrize("section, key", NON_FINITE_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected_with_their_path(section, key, raw):
+    # nan fails every comparison, so no range check in the dataclasses
+    # would catch it; the converter names the key instead
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: expected a finite number"):
+        parse_config_text(f"[{section}]\n{key} = {raw}\n")
+
+
 def test_out_of_range_alpha_names_section_and_field():
     with pytest.raises(ConfigurationError, match=r"\[aggregator\] alpha must be in \[0, 1\]"):
         parse_config_text("[aggregator]\nalpha = 1.5\n")

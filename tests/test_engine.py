@@ -557,24 +557,34 @@ def test_dfedavg_degrades_with_byzantine_fraction():
 def test_run_holds_two_model_stacks(kind):
     # a run keeps the round-start stack and one spare for training; a
     # third model-sized array per round (a fresh training copy, mixing
-    # output or evaluation gather) would push the peak past 3.5 stacks
+    # output or evaluation gather) would push the peak past 3.5 stacks.
+    # Attackers transmit from their own round-start rows, so half the
+    # nodes attacking costs at most one more model row than none: a fresh
+    # transmission per attacker would cost one row each
     n, d = 16, 40_000
-    cfg = SimConfig(
-        task=TaskSpec(kind="logistic", dim=d),
-        topology=TopologySpec(kind="k-regular", degree=4),
-        aggregator=AggregatorSpec(kind=kind),
-        attack=AttackSpec(kind="gaussian"),
-        n_nodes=n,
-        byz_fraction=0.25,
-        rounds=3,
-    )
-    tracemalloc.start()
-    try:
-        run_simulation(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * n * d * 8
+    data = generate_federated_data(TaskSpec(kind="logistic", dim=d), n, Seeds().data)
+
+    def peak_bytes(attack, byz_fraction):
+        cfg = SimConfig(
+            task=data.spec,
+            topology=TopologySpec(kind="k-regular", degree=4),
+            aggregator=AggregatorSpec(kind=kind),
+            attack=AttackSpec(kind=attack),
+            n_nodes=n,
+            byz_fraction=byz_fraction,
+            rounds=3,
+        )
+        tracemalloc.start()
+        try:
+            run_simulation(cfg, data=data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for attack in ("gaussian", "directed-deviation"):
+        peaks = [peak_bytes(attack, byz) for byz in (0.0, 0.25, 0.5)]
+        assert max(peaks) < 3.5 * n * d * 8, attack
+        assert peaks[2] <= peaks[0] + d * 8, attack
 
 
 # ------------------------------------------------------------- bench

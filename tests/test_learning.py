@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sketchdfl.learning as learning
 from sketchdfl.errors import ConfigurationError, NumericalDivergenceError
 from sketchdfl.learning import (
+    EVAL_BLOCK_BYTES,
     LogisticTask,
     TaskSpec,
     _error_fraction,
@@ -270,6 +272,16 @@ def test_training_and_evaluation_temporaries_stay_below_two_design_stacks():
                                                data.test_labels))
     assert scored < 1.75 * spec.test_samples * (spec.features + 1) * 8
 
+    # 48 wide models: all their class scores at once take 7.3 MiB, so
+    # evaluation scores them in blocks that stay within the block budget
+    wide = TaskSpec(kind="logistic", dim=100_000)
+    data = generate_federated_data(wide, 4, seed=3)
+    task = make_task(wide, data)
+    models = np.random.default_rng(1).normal(0, 0.01, (48, task.dim))
+    scored = peak_bytes(lambda: held_out_error(task, models, data.test_features,
+                                               data.test_labels))
+    assert scored < EVAL_BLOCK_BYTES + data.test_features.nbytes
+
 
 def test_local_update_seed_determinism():
     _, data, task = build("logistic", features=5, classes=3, samples_per_client=40)
@@ -392,6 +404,24 @@ def test_logistic_error_rate_is_argmax_on_integer_models_and_features():
     Xs, ys = design(5, 300), rng.integers(0, 4, size=(5, 300))
     want = argmax_error(Xs @ W.swapaxes(-1, -2), ys)
     assert held_out_error(task, models, Xs, ys).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "tiny-mlp"])
+@pytest.mark.parametrize("count", [1, 3, 4])   # one model, one block, one block plus 1
+def test_blocked_scores_are_bitwise_one_call(monkeypatch, kind, count):
+    _, data, task = build(kind, features=5, classes=3, hidden=4, samples_per_client=24,
+                          test_samples=50, dim=120)
+    models = np.random.default_rng(11).normal(0, 0.5, (count, task.dim))
+    sets = [(data.test_features, data.test_labels)]
+    if kind != "quadratic":  # the quadratic metric has no per-client score
+        sets.append((data.features[:count], data.labels[:count]))
+    for X, y in sets:
+        # a budget of three models per block at this set's sample count
+        per_model = 8 * task.eval_width * y.shape[-1]
+        monkeypatch.setattr(learning, "EVAL_BLOCK_BYTES", 3 * per_model + per_model // 2)
+        got = held_out_error(task, models, X, y)
+        assert got.shape == (count,)
+        assert got.tobytes() == task.error_rate(models, X, y).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
