@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, bench, check. Exit codes: 0 success,
+Subcommands: run, sweep, check. Exit codes: 0 success,
 2 configuration problem, 3 protocol/invariant/property violation,
 4 numerical divergence.
 """
@@ -13,14 +13,14 @@ from pathlib import Path
 from . import __version__
 from .checks import run_checks
 from .config import emit_config, parse_config
-from .engine import bench, metrics_rows, run_simulation, sweep
+from .engine import metrics_rows, run_simulation, sweep
 from .errors import (
     ConfigurationError,
     GraphGenerationError,
     NumericalDivergenceError,
     ProtocolError,
 )
-from .io import write_bench_csv, write_manifest, write_metrics_csv
+from .io import write_manifest, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,14 +76,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seeds", default="3", help="replicate count or comma list of master seeds")
     sweep_p.add_argument("--out", default="results/sweep")
 
-    bench_p = sub.add_parser("bench", help="op-count scaling report")
-    bench_p.add_argument("--mode", required=True, choices=("dims", "degree"))
-    bench_p.add_argument("--config", default=None, help="optional base config")
-    bench_p.add_argument("--out", default="results/bench")
-
     check_p = sub.add_parser("check", help="run property suites")
     check_p.add_argument("--suite", default=None, help="sketch, filter, or engine (default: all)")
     return parser
+
+
+def _out_dir(path: str) -> Path:
+    """Create the output directory up front, so a bad --out fails before
+    the simulation runs rather than after."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use --out {out}: {exc}") from None
+    return out
 
 
 def _cmd_run(args) -> int:
@@ -92,8 +98,8 @@ def _cmd_run(args) -> int:
         from dataclasses import replace
 
         config = replace(config, threads=args.threads)
+    out = _out_dir(args.out)
     result = run_simulation(config, run_id=args.run_id)
-    out = Path(args.out)
     run_id = result.manifest["run_id"]
     rows = metrics_rows(run_id, config.seeds.training, config.byz_fraction, result.metrics)
     write_metrics_csv(out / "metrics.csv", rows)
@@ -109,8 +115,8 @@ def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
     fractions = _parse_fractions(args.byz)
     masters = _parse_masters(args.seeds)
+    out = _out_dir(args.out)
     rows, manifests = sweep(config, fractions, masters)
-    out = Path(args.out)
     write_metrics_csv(out / "sweep.csv", rows)
     write_manifest(out / "manifests.json", {"runs": manifests})
     print(
@@ -118,27 +124,6 @@ def _cmd_sweep(args) -> int:
         f"{len(fractions) * len(masters)} runs, {len(rows)} rows"
     )
     print(f"wrote {out / 'sweep.csv'}")
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    config = parse_config(args.config) if args.config else None
-    rows = bench(args.mode, config)
-    out = Path(args.out)
-    write_bench_csv(out / "bench.csv", rows)
-    truncated = [r for r in rows if r.truncated]
-    screen: dict[int, dict[str, float]] = {}  # rung -> aggregator -> screening ops
-    for r in rows:
-        print(f"{r.mode} x={r.x_value} {r.aggregator}: screen={r.screen_ops:.0f} "
-              f"agg={r.agg_ops:.0f} tx={r.params_tx:.0f}" + (" TRUNCATED" if r.truncated else ""))
-        if not r.truncated:
-            screen.setdefault(r.x_value, {})[r.aggregator] = r.screen_ops
-    for x, ops in screen.items():
-        print(f"{args.mode} x={x}: full/sketch screening ops = "
-              f"{ops['balance'] / ops['sketchfilter']:.1f}x")
-    print(f"wrote {out / 'bench.csv'}")
-    if truncated:
-        print("warning: ladder truncated by the resource budget", file=sys.stderr)
     return EXIT_OK
 
 
@@ -154,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "bench": _cmd_bench,
         "check": _cmd_check,
     }
     try:

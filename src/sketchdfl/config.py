@@ -125,9 +125,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> SimConfig:
 
 def parse_config(path: str | Path) -> SimConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigurationError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def _render(value) -> str:

@@ -48,7 +48,6 @@ from .io import CSV_COLUMNS
 from .learning import (
     FederatedData,
     TaskSpec,
-    _resolve_dim,
     generate_federated_data,
     local_update,
     make_task,
@@ -130,7 +129,8 @@ class RoundMetrics:
     ratio (fallback included), so it reflects the filter itself;
     byz_accept_frac is the micro-averaged fraction of Byzantine neighbor
     slots whose models survived into aggregation, i.e. post-verification.
-    agg_ops_mean is carried for bench reports and is not a CSV column.
+    agg_ops_mean is not a CSV column; library callers read it from
+    RunResult.metrics.
     """
 
     round: int
@@ -500,79 +500,3 @@ def metrics_rows(run_id: str, seed: int, byz_fraction: float, metrics: list[Roun
         (run_id, seed, byz_fraction, *(getattr(m, column) for column in CSV_COLUMNS[3:]))
         for m in metrics
     ]
-
-
-DIM_LADDER = (22_000, 85_000, 660_000)
-DEGREE_LADDER = ((16, 20), (32, 35), (96, 100))
-BENCH_BUDGET_BYTES = 4_000_000_000
-BENCH_AGGREGATORS = ("sketchfilter", "balance")  # sketch screening vs its full-precision twin
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    mode: str
-    x_value: int
-    aggregator: str
-    screen_ops: float
-    agg_ops: float
-    params_tx: float
-    truncated: bool = False
-
-
-def bench(
-    mode: str,
-    config: SimConfig | None = None,
-    dim_ladder: tuple[int, ...] = DIM_LADDER,
-    degree_ladder: tuple[tuple[int, int], ...] = DEGREE_LADDER,
-    budget_bytes: int = BENCH_BUDGET_BYTES,
-) -> list[BenchRow]:
-    """Op-count scaling report. dims mode grows the padded model dimension
-    on a fixed k-regular graph, running each rung at the larger of the rung
-    and the task's natural size, and rungs that land on the same size once;
-    degree mode grows the k-regular degree at fixed dimension, the model
-    padded to at least 2000. One round each; per-node per-round means
-    reported, x_value being the dimension or degree actually run.
-    The first rung whose working set would blow the memory budget is not
-    run: it gets one zero-cost row per aggregator, marked truncated, and
-    the ladder stops there."""
-    if mode not in ("dims", "degree"):
-        raise ConfigurationError(f"bench mode must be 'dims' or 'degree', got {mode!r}")
-    base = config if config is not None else SimConfig(
-        task=TaskSpec(kind="quadratic", features=32, samples_per_client=64),
-        topology=TopologySpec(kind="k-regular", degree=8),
-        n_nodes=16,
-        rounds=1,
-        local_epochs=1,
-        lr=0.01,
-    )
-    rows: list[BenchRow] = []
-    padded, natural = _resolve_dim(base.task)
-    if mode == "dims":
-        dims = dict.fromkeys(max(d, natural) for d in dim_ladder)  # ordered, deduplicated
-        points = [(d, base.n_nodes, base.topology) for d in dims]
-    else:
-        points = [
-            (max(padded, 2000), n, TopologySpec(kind="k-regular", degree=deg))
-            for deg, n in degree_ladder
-        ]
-    for dim, n, topo in points:
-        x_value = dim if mode == "dims" else topo.degree
-        # working set: a handful of dim-length float64 vectors per node
-        need = 6 * n * dim * 8
-        if need > budget_bytes:
-            for agg_kind in BENCH_AGGREGATORS:
-                rows.append(BenchRow(mode, x_value, agg_kind, 0.0, 0.0, 0.0, truncated=True))
-            break
-        for agg_kind in BENCH_AGGREGATORS:
-            cfg = replace(
-                base,
-                task=replace(base.task, dim=dim),
-                topology=topo,
-                n_nodes=n,
-                aggregator=replace(base.aggregator, kind=agg_kind),
-                rounds=1,
-            )
-            m = run_simulation(cfg, run_id=f"bench-{mode}-{x_value}-{agg_kind}").metrics[0]
-            rows.append(BenchRow(mode, x_value, agg_kind,
-                                 m.screen_ops_mean, m.agg_ops_mean, m.params_tx_mean))
-    return rows

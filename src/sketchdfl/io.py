@@ -1,6 +1,6 @@
-"""File formats: metrics and bench CSV, run manifests.
+"""File formats: the metrics CSV and run manifests.
 
-Each writer renders its format through the two private helpers below.
+Both writers create the parent directory and write the whole text at once.
 Everything here is deterministic text so emitted artifacts diff cleanly
 and reproduce byte-for-byte across platforms.
 """
@@ -28,23 +28,12 @@ CSV_COLUMNS = (
     "fallback_count",
 )
 
-# BenchRow fields
-BENCH_COLUMNS = ("mode", "x_value", "aggregator", "screen_ops", "agg_ops", "params_tx")
-
 
 def _cell(value) -> str:
     # repr round-trips floats exactly; everything else is printed plainly
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _csv_text(columns: tuple[str, ...], rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_cell(v) for v in row] for row in rows)
-    return buf.getvalue()
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -59,19 +48,15 @@ def metrics_csv_text(rows: list[tuple]) -> str:
             raise ConfigurationError(
                 f"metrics row has {len(row)} cells, schema needs {len(CSV_COLUMNS)}"
             )
-    return _csv_text(CSV_COLUMNS, rows)
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_metrics_csv(path: str | Path, rows: list[tuple]) -> None:
     _write_text(path, metrics_csv_text(rows))
-
-
-def bench_csv_text(rows) -> str:
-    return _csv_text(BENCH_COLUMNS, ([getattr(r, c) for c in BENCH_COLUMNS] for r in rows))
-
-
-def write_bench_csv(path: str | Path, rows) -> None:
-    _write_text(path, bench_csv_text(rows))
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

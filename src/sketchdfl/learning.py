@@ -121,14 +121,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _with_bias(X: np.ndarray) -> np.ndarray:
-    """X with a trailing column of ones, for a whole stack at once."""
-    out = np.empty((*X.shape[:-1], X.shape[-1] + 1))
-    out[..., :-1] = X
-    out[..., -1] = 1.0
-    return out
-
-
 def _softmax_minus_one_hot(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """softmax(logits) minus each row's one-hot label, in place in `logits`,
     a C-contiguous (..., C) product. The row max is taken one class column
@@ -303,11 +295,11 @@ class TinyMlpTask:
         self.spec = spec
         self.dim, self.active_dim = _resolve_dim(spec)
         self._n1 = spec.hidden * (spec.features + 1)
-        # values per sample at each step's peak: tanh beside its bias-
-        # augmented copy, those activations beside the class scores, and
-        # the scores beside each sample's label and top score
+        # values per sample at each step's peak: the bias-augmented
+        # activations beside the class scores, and the scores beside each
+        # sample's label and top score
         h, c = spec.hidden, spec.classes
-        self.eval_width = max(2 * h + 1, h + 1 + c, c + 2)
+        self.eval_width = max(h + 1 + c, c + 2)
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, lead = self.spec, w.shape[:-1]
@@ -328,7 +320,14 @@ class TinyMlpTask:
         """(output-layer weights, bias-augmented hidden activations) for
         design rows X."""
         w1, w2 = self._unpack(w)
-        return w2, _with_bias(np.tanh(X @ _T(w1)))
+        h = self.spec.hidden
+        lead = np.broadcast_shapes(w1.shape[:-2], X.shape[:-2])
+        # tanh in place in one buffer: h + 1 values per sample (eval_width)
+        hb = np.empty((*lead, X.shape[-2], h + 1))
+        act = hb[..., :h]
+        np.tanh(np.matmul(X, _T(w1), out=act), out=act)
+        hb[..., h] = 1.0
+        return w2, hb
 
     def loss(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         w2, hb = self._hidden(w, X)

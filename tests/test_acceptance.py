@@ -25,7 +25,6 @@ from sketchdfl.engine import (
     SimConfig,
     Seeds,
     account_communication,
-    bench,
     derive_seeds,
     metrics_rows,
     node_stream,
@@ -286,15 +285,20 @@ def test_criterion_07_screening_cost_independent_of_dimension():
         aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=256),
         n_nodes=16, rounds=1, local_epochs=1, lr=0.01,
     )
-    rows = bench("dims", config=base, dim_ladder=(22_000, 220_000))
-    sf = {r.x_value: r for r in rows if r.aggregator == "sketchfilter"}
-    fp = {r.x_value: r for r in rows if r.aggregator == "balance"}
-    sketch_flat = sf[22_000].screen_ops == sf[220_000].screen_ops == 256 * 8
-    full_tenfold = fp[220_000].screen_ops == 10 * fp[22_000].screen_ops
+
+    def screen_ops(kind, dim):
+        cfg = replace(base, task=replace(base.task, dim=dim),
+                      aggregator=replace(base.aggregator, kind=kind))
+        return run_simulation(cfg).metrics[0].screen_ops_mean
+
+    sf = {dim: screen_ops("sketchfilter", dim) for dim in (22_000, 220_000)}
+    fp = {dim: screen_ops("balance", dim) for dim in (22_000, 220_000)}
+    sketch_flat = sf[22_000] == sf[220_000] == 256 * 8
+    full_tenfold = fp[220_000] == 10 * fp[22_000]
     report(7, "screening cost vs dimension", sketch_flat and full_tenfold,
-           f"sketch ops {sf[22_000].screen_ops:.0f} == {sf[220_000].screen_ops:.0f} "
-           f"across 10x dim; full-precision {fp[22_000].screen_ops:.0f} -> "
-           f"{fp[220_000].screen_ops:.0f}")
+           f"sketch ops {sf[22_000]:.0f} == {sf[220_000]:.0f} "
+           f"across 10x dim; full-precision {fp[22_000]:.0f} -> "
+           f"{fp[220_000]:.0f}")
 
 
 def test_criterion_08_strongly_convex_convergence():

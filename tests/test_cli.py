@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import sketchdfl.cli as cli
+import sketchdfl.engine as engine
 from sketchdfl.checks import run_checks
 from sketchdfl.cli import (
     EXIT_CONFIG,
@@ -105,6 +107,33 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "absent.ini")])
     assert code == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes("[task]\n# caf\xe9\n".encode("latin-1"))
+    for path in (tmp_path, latin1):  # a directory, and a file that is not UTF-8
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--byz", "0.0", "--seeds", "1"],
+])
+def test_out_that_is_a_file_exits_2_before_simulating(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run_simulation", refuse)
+    monkeypatch.setattr(engine, "run_simulation", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    argv = [command[0], "--config", str(tiny_file(tmp_path)), *command[1:], "--out", str(taken)]
+    assert main(argv) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == "keep me"
 
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
@@ -214,35 +243,6 @@ def test_sweep_empty_list_exits_2(tmp_path, capsys, byz, seeds):
     assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
-# ----------------------------------------------------------------- bench
-
-def test_bench_degree_mode_cli(tmp_path, capsys):
-    out = tmp_path / "b"
-    assert main(["bench", "--mode", "degree", "--out", str(out)]) == EXIT_OK
-    lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == "mode,x_value,aggregator,screen_ops,agg_ops,params_tx"
-    assert len(lines) == 1 + 3 * 2  # ladder rungs x aggregators
-    out_text = capsys.readouterr().out
-    ratios = [line for line in out_text.splitlines() if "full/sketch screening ops" in line]
-    assert [line.split(":")[0] for line in ratios] == ["degree x=16", "degree x=32", "degree x=96"]
-    assert "wrote" in out_text
-
-
-def test_bench_degree_mode_pads_past_a_large_natural_size(tmp_path):
-    # natural size 10 * (300 + 1) = 3010, above the ladder's 2000-dim floor
-    cfg = tmp_path / "wide.ini"
-    cfg.write_text("[task]\nkind = logistic\nfeatures = 300\nsamples_per_client = 8\n"
-                   "test_samples = 16\n\n[run]\nlocal_epochs = 1\n")
-    out = tmp_path / "b"
-    assert main(["bench", "--mode", "degree", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    balance = [line.split(",") for line in (out / "bench.csv").read_text().splitlines()
-               if ",balance," in line]
-    # full-precision screening costs dim multiply-adds per neighbor
-    assert [(int(row[1]), float(row[3])) for row in balance] == [
-        (deg, 3010.0 * deg) for deg in (16, 32, 96)
-    ]
-
-
 # ----------------------------------------------------------------- check
 
 def test_check_command_passes(capsys):
@@ -285,9 +285,10 @@ def test_version_flag():
 
 
 def test_unknown_command_is_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["teleport"])
-    assert exc.value.code == 2
+    for command in ("teleport", "bench"):  # run reports the costs bench printed
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
 
 
 def test_readme_names_only_commands_that_exist(capsys):

@@ -1,4 +1,4 @@
-"""Round orchestration: determinism, accounting, barriers, sweep, bench."""
+"""Round orchestration: determinism, accounting, barriers, sweep."""
 import hashlib
 import json
 import random
@@ -16,12 +16,10 @@ from sketchdfl.aggregation import AggregatorSpec, PairTable
 from sketchdfl.attacks import AttackSpec
 from sketchdfl.config import parse_config
 from sketchdfl.engine import (
-    BenchRow,
     Seeds,
     SimConfig,
     account_communication,
     aggregation_ops,
-    bench,
     derive_seeds,
     metrics_rows,
     node_stream,
@@ -587,58 +585,18 @@ def test_run_holds_two_model_stacks(kind):
         assert peaks[2] <= peaks[0] + d * 8, attack
 
 
-# ------------------------------------------------------------- bench
+# ------------------------------------------------------------- screening cost
 
-def bench_base(**overrides) -> SimConfig:
-    # pin the sketch width so dim rungs share one screening budget
-    base = dict(
-        task=TaskSpec(kind="quadratic", features=32, samples_per_client=64),
-        topology=TopologySpec(kind="k-regular", degree=8),
-        aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=64),
-        n_nodes=16,
-        rounds=1,
-        local_epochs=1,
-        lr=0.01,
-    )
-    base.update(overrides)
-    return SimConfig(**base)
+def test_screening_ops_double_with_degree():
+    # sketch and full-precision screening both cost one distance per neighbor
+    def screen_ops(kind, degree):
+        cfg = SimConfig(
+            task=TaskSpec(kind="quadratic", features=32, samples_per_client=64, dim=2000),
+            topology=TopologySpec(kind="k-regular", degree=degree),
+            aggregator=AggregatorSpec(kind=kind),
+            n_nodes=12, rounds=1, local_epochs=1, lr=0.01,
+        )
+        return run_simulation(cfg).metrics[0].screen_ops_mean
 
-
-def test_bench_dims_fixed_sketch_cost():
-    rows = bench("dims", config=bench_base(), dim_ladder=(1000, 10_000))
-    sf = [r for r in rows if r.aggregator == "sketchfilter"]
-    fp = [r for r in rows if r.aggregator == "balance"]
-    assert [r.x_value for r in sf] == [1000, 10_000]
-    assert sf[0].screen_ops == sf[1].screen_ops == 64 * 8
-    assert fp[1].screen_ops == 10 * fp[0].screen_ops
-    assert not any(r.truncated for r in rows)
-
-
-def test_bench_dims_runs_small_rungs_at_a_large_natural_size():
-    # natural size 10 * (300 + 1) = 3010: the two lower rungs collapse onto it
-    task = TaskSpec(kind="logistic", features=300, samples_per_client=8, test_samples=16)
-    rows = bench("dims", config=bench_base(task=task), dim_ladder=(2000, 3000, 10_000))
-    balance = [(r.x_value, r.screen_ops) for r in rows if r.aggregator == "balance"]
-    # full-precision screening costs dim multiply-adds per neighbor
-    assert balance == [(3010, 3010.0 * 8), (10_000, 10_000.0 * 8)]
-
-
-def test_bench_degree_grows_screening_linearly():
-    rows = bench("degree", degree_ladder=((4, 12), (8, 12)))
-    sf = [r for r in rows if r.aggregator == "sketchfilter"]
-    assert [r.x_value for r in sf] == [4, 8]
-    assert sf[1].screen_ops == 2 * sf[0].screen_ops
-
-
-def test_bench_budget_truncates_ladder():
-    rows = bench("dims", dim_ladder=(1000, 50_000_000), budget_bytes=10_000_000)
-    assert [r.truncated for r in rows] == [False, False, True, True]
-    marker = rows[-1]
-    assert isinstance(marker, BenchRow)
-    assert marker.x_value == 50_000_000
-    assert marker.screen_ops == 0.0
-
-
-def test_bench_rejects_unknown_mode():
-    with pytest.raises(ConfigurationError, match="bench mode"):
-        bench("nodes")
+    for kind in ("sketchfilter", "balance"):
+        assert screen_ops(kind, 8) == 2 * screen_ops(kind, 4) > 0, kind

@@ -3,14 +3,10 @@ import json
 
 import pytest
 
-from sketchdfl.engine import BenchRow
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.io import (
-    BENCH_COLUMNS,
     CSV_COLUMNS,
-    bench_csv_text,
     metrics_csv_text,
-    write_bench_csv,
     write_manifest,
     write_metrics_csv,
 )
@@ -41,17 +37,6 @@ def test_write_metrics_csv_creates_parents(tmp_path):
     target = tmp_path / "deep" / "dir" / "metrics.csv"
     write_metrics_csv(target, [])
     assert target.read_text() == ",".join(CSV_COLUMNS) + "\n"
-
-
-def test_bench_csv_layout(tmp_path):
-    rows = [BenchRow("dims", 1000, "sketchfilter", 512.0, 640.0, 72.5)]
-    text = bench_csv_text(rows)
-    lines = text.splitlines()
-    assert lines[0] == ",".join(BENCH_COLUMNS)
-    assert lines[1] == "dims,1000,sketchfilter,512.0,640.0,72.5"
-    target = tmp_path / "bench.csv"
-    write_bench_csv(target, rows)
-    assert target.read_text() == text
 
 
 def test_manifest_json_is_stable_and_sorted(tmp_path):

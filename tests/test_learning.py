@@ -282,6 +282,20 @@ def test_training_and_evaluation_temporaries_stay_below_two_design_stacks():
                                                data.test_labels))
     assert scored < EVAL_BLOCK_BYTES + data.test_features.nbytes
 
+    # tiny-mlp at h = 16, C = 10: a block peaks at eval_width = h + 1 + C
+    # values per model and sample (its activations beside its scores); a
+    # tanh output held beside its bias-augmented copy would need 2h + 1
+    mlp = TaskSpec(kind="tiny-mlp", hidden=16, classes=10)
+    data = generate_federated_data(mlp, 4, seed=3)
+    task = make_task(mlp, data)
+    assert task.eval_width == 27
+    models = np.random.default_rng(1).normal(0, 0.1, (48, task.dim))
+    scored = peak_bytes(lambda: held_out_error(task, models, data.test_features,
+                                               data.test_labels))
+    block = learning._eval_block(task, mlp.test_samples)
+    assert block == 9
+    assert scored < block * mlp.test_samples * (task.eval_width + 1) * 8
+
 
 def test_local_update_seed_determinism():
     _, data, task = build("logistic", features=5, classes=3, samples_per_client=40)
