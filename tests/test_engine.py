@@ -600,3 +600,21 @@ def test_screening_ops_double_with_degree():
 
     for kind in ("sketchfilter", "balance"):
         assert screen_ops(kind, 8) == 2 * screen_ops(kind, 4) > 0, kind
+
+
+def test_bench_dims_fixed_sketch_cost():
+    # sketch screening costs sketch_size per neighbor whatever the dimension;
+    # full-precision screening costs dim per neighbor
+    def screen_ops(kind, dim):
+        cfg = SimConfig(
+            task=TaskSpec(kind="quadratic", features=32, samples_per_client=64, dim=dim),
+            topology=TopologySpec(kind="k-regular", degree=8),
+            aggregator=AggregatorSpec(kind=kind, sketch_size=64),
+            n_nodes=12, rounds=1, local_epochs=1, lr=0.01,
+        )
+        return run_simulation(cfg).metrics[0].screen_ops_mean
+
+    sf = [screen_ops("sketchfilter", dim) for dim in (1000, 10_000)]
+    fp = [screen_ops("balance", dim) for dim in (1000, 10_000)]
+    assert sf[0] == sf[1] == 64 * 8
+    assert fp[1] == 10 * fp[0] == 10_000 * 8
