@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ProtocolError
 # sketch_distance is not called here, but perfbench/tracing.py patches
 # aggregation.sketch_distance, so the name stays
-from .sketch import Sketch, _distance, sketch_distance, sketch_distances  # noqa: F401
+from .sketch import Sketch, _batch_buffer, _distance, _sq_distances, sketch_distance  # noqa: F401
 
 AGGREGATOR_KINDS = ("dfedavg", "krum", "balance", "sketchfilter")
 SKETCH_KINDS = ("sketchfilter",)
@@ -80,11 +80,17 @@ def gamma_eff(gamma: float, eps: float) -> float:
     return gamma * math.sqrt((1 + eps) / (1 - eps))
 
 
-def _filter_by_distance(distances: dict[int, float], threshold: float) -> FilterOutcome:
+def _screen(self_vector: np.ndarray, neighbor_vectors: Mapping[int, np.ndarray],
+            gamma: float, kappa: float, t: int, rounds: int) -> FilterOutcome:
+    """The screening rule, on models or sketch values alike: accept every
+    neighbour within the adaptive threshold of the node's own vector; if
+    none is, fall back to the single closest (lowest id on ties)."""
+    threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_vector))
+    sq = _sq_distances(self_vector, list(neighbor_vectors.values()))
+    distances = dict(zip(neighbor_vectors, map(math.sqrt, sq.tolist())))
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
     if accepted or not distances:
         return FilterOutcome(accepted, False, threshold, distances)
-    # nothing under threshold: fall back to the single closest neighbor
     best = min(sorted(distances), key=distances.__getitem__)
     return FilterOutcome([best], True, threshold, distances)
 
@@ -98,10 +104,7 @@ def balance_filter(
     rounds: int,
 ) -> FilterOutcome:
     """Full-precision distance screening against the node's own model."""
-    buf = np.empty_like(self_model)
-    threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model, out=buf))
-    distances = {j: _distance(self_model, w, out=buf) for j, w in neighbor_models.items()}
-    return _filter_by_distance(distances, threshold)
+    return _screen(self_model, neighbor_models, gamma, kappa, t, rounds)
 
 
 def sketch_filter(
@@ -112,15 +115,14 @@ def sketch_filter(
     t: int,
     rounds: int,
 ) -> FilterOutcome:
-    """Same screening rule computed entirely in sketch space."""
-    threshold = adaptive_threshold(gamma, kappa, t, rounds, self_sketch.norm())
-    # one receiver's neighbours at a time: a whole round's (edges, k) gather
-    # would add an edge-count-sized array to the peak
-    distances = dict(zip(
-        neighbor_sketches,
-        sketch_distances(self_sketch, list(neighbor_sketches.values())),
-    ))
-    return _filter_by_distance(distances, threshold)
+    """balance_filter's rule run on sketch values, once every sketch is
+    known to come from the node's own hash family."""
+    if any(s.fingerprint != self_sketch.fingerprint for s in neighbor_sketches.values()):
+        raise ProtocolError(
+            "sketch fingerprints differ; sketches come from different hash families"
+        )
+    values = {j: s.values for j, s in neighbor_sketches.items()}
+    return _screen(self_sketch.values, values, gamma, kappa, t, rounds)
 
 
 def aggregate_mixed(
@@ -171,26 +173,6 @@ def dfedavg_aggregate(
     return out
 
 
-def _pairwise_sq_distances(stack: np.ndarray) -> np.ndarray:
-    """(n, n) squared distances between the rows of `stack`, bit-identical to
-    `((stack[:, None] - stack[None]) ** 2).sum(axis=2)`.
-
-    Only the upper triangle is computed, then mirrored: b - a is exactly
-    -(a - b), and each row sum is the same pairwise sum as in the broadcast,
-    so the bits match with half the subtractions and an (n - 1, d) buffer
-    instead of an (n, n, d) temporary. Not a Gram-matrix expansion, which
-    rounds differently, and no BLAS, whose bits depend on its thread count.
-    """
-    n = len(stack)
-    sq = np.zeros((n, n))
-    buf = np.empty((n - 1, stack.shape[1]))
-    for i in range(n - 1):
-        diff = np.subtract(stack[i + 1:], stack[i], out=buf[: n - 1 - i])
-        np.multiply(diff, diff, out=diff)
-        sq[i, i + 1:] = sq[i + 1:, i] = np.add.reduce(diff, axis=1)
-    return sq
-
-
 class PairTable:
     """Squared distances between every two vectors that meet in a pool,
     each unordered pair computed once however many pools hold it.
@@ -200,10 +182,8 @@ class PairTable:
     list of vectors indexed by id, and `submatrix(table, key)` reads that
     pool's (m, m) matrix out of it. Memory grows with the number of distinct
     pairs, not with the number of vectors squared, and the distances go
-    through a buffer of at most BATCH_BYTES.
+    through a buffer of at most sketch.BATCH_BYTES.
     """
-
-    BATCH_BYTES = 1 << 20
 
     def __init__(self, pools: Mapping[object, Sequence[int]]) -> None:
         slots: dict[tuple[int, int], int] = {}
@@ -229,29 +209,20 @@ class PairTable:
 
     def compute(self, vectors: Sequence[np.ndarray], threads: int = 1) -> np.ndarray:
         """Flat table of the layout's squared distances, plus a trailing
-        0.0. Each entry is bitwise the `_pairwise_sq_distances` entry of the
-        same two vectors: the same squares ((b - a)² is exactly (a - b)²)
-        summed by the same row reduction, without BLAS. With threads > 1
-        the anchors are dealt out to that many threads, each with its own
-        buffer; no entry depends on which thread computes it."""
+        0.0, each entry computed by _sq_distances from the lower id's vector.
+        With threads > 1 the anchors are dealt out to that many threads,
+        each with its own buffer; no entry depends on which thread computes
+        it."""
         table = np.zeros(self.n_pairs + 1)
         if not self._anchors:
             return table
         d = len(vectors[self._anchors[0][0]])
-        rows = min(max(1, self.BATCH_BYTES // (8 * d)),
-                   max(len(row) for _, row, _ in self._anchors))
+        widest = max(len(row) for _, row, _ in self._anchors)
 
         def fill(anchors: list) -> None:
-            buf = np.empty((rows, d))
+            buf = _batch_buffer(widest, d)
             for a, row, slots in anchors:
-                anchor = vectors[a]
-                for lo in range(0, len(row), rows):
-                    chunk = row[lo: lo + rows]
-                    block = buf[: len(chunk)]
-                    for r, b in enumerate(chunk):
-                        np.subtract(vectors[b], anchor, out=block[r])
-                    np.multiply(block, block, out=block)
-                    table[slots[lo: lo + len(chunk)]] = np.add.reduce(block, axis=1)
+                table[slots] = _sq_distances(vectors[a], [vectors[b] for b in row], buf)
 
         if threads <= 1:
             fill(self._anchors)
@@ -271,7 +242,7 @@ def krum_select_index(
     """Index of the model whose summed squared distance to its n-f-2
     nearest peers is smallest (first index on ties). `sq`, when given, is
     the models' (n, n) squared-distance matrix, as a PairTable submatrix
-    gives it; else it is computed here."""
+    gives it; else it is computed here from a one-pool PairTable."""
     n = len(models)
     if f < 0:
         raise ConfigurationError(f"f must be >= 0, got {f}")
@@ -280,7 +251,8 @@ def krum_select_index(
             f"krum needs at least f+3 = {f + 3} models, got {n}"
         )
     if sq is None:
-        sq = _pairwise_sq_distances(np.stack(models))
+        pairs = PairTable({0: range(n)})
+        sq = pairs.submatrix(pairs.compute(models), 0)
     return int(np.argmin(_krum_scores(sq, n - f - 2)))
 
 

@@ -26,24 +26,31 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_DIVERGENCE = 4
+MAX_RANGE_VALUES = 10_000  # most values a --byz LO:HI:STEP range may expand to
 
 
 def _parse_fractions(text: str) -> list[float]:
-    """Either LO:HI:STEP (inclusive) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(f"--byz range must be LO:HI:STEP, got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise ConfigurationError(f"--byz range {text!r} is empty or reversed")
-        count = int(round((hi - lo) / step))
-        values = [round(lo + i * step, 10) for i in range(count + 1)]
-        return [v for v in values if v <= hi + 1e-12]
+    """Either LO:HI:STEP (inclusive, at most MAX_RANGE_VALUES values) or a
+    comma list."""
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        numbers = [float(p) for p in parts]
     except ValueError:
         raise ConfigurationError(f"cannot parse --byz value {text!r}") from None
+    if ":" not in text:
+        return numbers
+    if len(numbers) != 3:
+        raise ConfigurationError(f"--byz range must be LO:HI:STEP, got {text!r}")
+    lo, hi, step = numbers
+    if not (step > 0 and lo <= hi):
+        raise ConfigurationError(f"--byz range {text!r} is empty or reversed")
+    span = (hi - lo) / step  # round(span) + 1 values; inf if the step underflows
+    if not span < MAX_RANGE_VALUES - 0.5:
+        raise ConfigurationError(
+            f"--byz range {text!r} has {span + 1:.6g} values, more than {MAX_RANGE_VALUES}"
+        )
+    values = [round(lo + i * step, 10) for i in range(round(span) + 1)]
+    return [v for v in values if v <= hi + 1e-12]
 
 
 def _parse_masters(text: str) -> list[int]:

@@ -115,23 +115,44 @@ def fold_with_tables(
     return np.bincount(buckets, weights=signs * vector, minlength=width)
 
 
-def _distance(a: np.ndarray, b: np.ndarray | None = None, out: np.ndarray | None = None) -> float:
-    """Euclidean ||a - b|| (||a|| when b is None), exactly
-    `np.sqrt(np.sum((a - b) ** 2))`.
+BATCH_BYTES = 1 << 20  # cap on a _batch_buffer, unless one row is larger
+
+
+def _batch_buffer(n_rows: int, dim: int) -> np.ndarray:
+    """Scratch for _sq_distances: up to n_rows rows of length dim, at least one."""
+    return np.empty((max(1, min(n_rows, BATCH_BYTES // (8 * dim))), dim))
+
+
+def _sq_distances(
+    anchor: np.ndarray, rows: Sequence[np.ndarray], buf: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distance from `anchor` to each of `rows`, each exactly
+    `np.sum((row - anchor) ** 2)`, differenced a block of rows at a time in
+    `buf` (a _batch_buffer when not given).
 
     No BLAS: above about 10,000 elements OpenBLAS's dot product splits the
-    sum across its own threads, so `np.linalg.norm` rounds differently at
-    different BLAS thread counts, and those threads oversubscribe the
-    engine's pool. numpy's pairwise sum depends on the data alone. `out`,
-    shaped like `a`, receives the squared terms, so a caller measuring many
-    vectors against one reuses a single buffer.
+    sum across its own threads, so `np.linalg.norm` or a Gram expansion
+    rounds differently at different BLAS thread counts. numpy's pairwise
+    row sum depends on the data alone, and (b - a)² is exactly (a - b)².
     """
+    out = np.empty(len(rows))
+    if buf is None:
+        buf = _batch_buffer(len(rows), len(anchor))
+    for lo in range(0, len(rows), len(buf)):
+        block = buf[: len(rows) - lo]
+        for r, row in enumerate(rows[lo: lo + len(block)]):
+            np.subtract(row, anchor, out=block[r])
+        np.multiply(block, block, out=block)
+        np.add.reduce(block, axis=1, out=out[lo: lo + len(block)])
+    return out
+
+
+def _distance(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """Euclidean ||a - b|| (||a|| when b is None), exactly
+    `np.sqrt(np.sum((a - b) ** 2))`, without BLAS (see _sq_distances)."""
     if b is None:
-        sq = np.multiply(a, a, out=out)
-    else:
-        sq = np.subtract(a, b, out=out)
-        np.multiply(sq, sq, out=sq)
-    return math.sqrt(np.add.reduce(sq))
+        return math.sqrt(np.add.reduce(a * a))
+    return math.sqrt(_sq_distances(a, [b])[0])
 
 
 @dataclass(frozen=True)
@@ -164,22 +185,6 @@ def sketch_distance(a: Sketch, b: Sketch) -> float:
             "sketch fingerprints differ; sketches come from different hash families"
         )
     return _distance(a.values, b.values)
-
-
-def sketch_distances(a: Sketch, others: Sequence[Sketch]) -> list[float]:
-    """sketch_distance(a, b) for each b in others, bit for bit, in one pass
-    over their stacked (len(others), width) values: each row is the same
-    pairwise sum of the same squares ((b - a)² is exactly (a - b)²)."""
-    if any(b.fingerprint != a.fingerprint for b in others):
-        raise ProtocolError(
-            "sketch fingerprints differ; sketches come from different hash families"
-        )
-    if not others:
-        return []
-    sq = np.stack([b.values for b in others])
-    np.subtract(sq, a.values, out=sq)
-    np.multiply(sq, sq, out=sq)
-    return [math.sqrt(x) for x in np.add.reduce(sq, axis=1).tolist()]
 
 
 def verify_model_against_sketch(

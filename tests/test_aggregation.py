@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchdfl import sketch
 from sketchdfl.aggregation import (
     AggregatorSpec,
     PairTable,
     _krum_scores,
-    _pairwise_sq_distances,
     adaptive_threshold,
     aggregate_mixed,
     balance_filter,
@@ -21,6 +21,15 @@ from sketchdfl.aggregation import (
 )
 from sketchdfl.errors import ConfigurationError, ProtocolError
 from sketchdfl.sketch import Sketch, SketchParams, compute_sketch, sketch_distance
+
+
+def _broadcast_sq(stack):
+    """Pairwise squared distances between the rows of `stack` by the (n, n, d)
+    broadcast, with the diagonal set to 0.0: on a row holding inf the
+    broadcast's own diagonal is inf - inf, a NaN."""
+    sq = ((stack[:, None] - stack[None]) ** 2).sum(axis=2)
+    np.fill_diagonal(sq, 0.0)
+    return sq
 
 
 def test_adaptive_threshold_values():
@@ -260,11 +269,12 @@ def test_krum_matches_bruteforce_reference():
 
 
 def test_krum_pairwise_stage_matches_broadcast_bitwise():
-    # d above OpenBLAS's 10,000-element threading cut-off; the reference is
-    # the (n, n, d) broadcast the triangular stage replaced
+    # d above OpenBLAS's 10,000-element threading cut-off; krum_select_index
+    # without `sq` builds its matrix from this one-pool table
     stack = np.random.default_rng(11).normal(size=(17, 12_000))
     reference = ((stack[:, None] - stack[None]) ** 2).sum(axis=2)
-    assert _pairwise_sq_distances(stack).tobytes() == reference.tobytes()
+    pairs = PairTable({0: range(len(stack))})
+    assert pairs.submatrix(pairs.compute(list(stack)), 0).tobytes() == reference.tobytes()
 
 
 def test_full_and_sketch_distances_match_sum_of_squares_bitwise():
@@ -294,7 +304,7 @@ def test_krum_scores_match_per_candidate_loop_bitwise():
     # up to 40 candidates, so kept sums reach numpy's unrolled pairwise sum
     rng = np.random.default_rng(21)
     for m in (3, 4, 9, 17, 26, 40):
-        sq = _pairwise_sq_distances(rng.normal(size=(m, 300)) * 10.0 ** rng.uniform(-6, 6, size=(m, 1)))
+        sq = _broadcast_sq(rng.normal(size=(m, 300)) * 10.0 ** rng.uniform(-6, 6, size=(m, 1)))
         for f in range(m - 2):
             keep = m - f - 2
             assert _krum_scores(sq, keep).tobytes() == _loop_krum_scores(sq, keep).tobytes()
@@ -324,7 +334,7 @@ def test_pair_table_matches_the_stacked_pool_bitwise():
     table = PairTable(pools)
     flat = table.compute(vectors)
     for key, ids in pools.items():
-        stacked = _pairwise_sq_distances(np.stack([vectors[v] for v in ids]))
+        stacked = _broadcast_sq(np.stack([vectors[v] for v in ids]))
         sub = table.submatrix(flat, key)
         assert sub.tobytes() == stacked.tobytes()
         models = [vectors[v] for v in ids]
@@ -346,7 +356,7 @@ def test_pair_table_keeps_krum_choice_on_inf_and_nan():
         flat = table.compute(vectors)
         for key, ids in pools.items():
             models = [vectors[v] for v in ids]
-            stacked = _pairwise_sq_distances(np.stack(models))
+            stacked = _broadcast_sq(np.stack(models))
             sub = table.submatrix(flat, key)
             assert np.array_equal(sub, stacked, equal_nan=True)
             for f in range(len(ids) - 2):
@@ -354,24 +364,22 @@ def test_pair_table_keeps_krum_choice_on_inf_and_nan():
     assert np.isnan(flat).any() and np.isinf(flat).any()
 
 
-def test_pair_table_batches_bitwise_and_holds_only_needed_pairs():
+def test_pair_table_batches_bitwise_and_holds_only_needed_pairs(monkeypatch):
     # pools overlap heavily, so most pairs sit in several pools; a 3-row
     # batch splits most anchors' partners into full and partial blocks
-    class ThreeRows(PairTable):
-        BATCH_BYTES = 3 * 8 * 500
-
+    monkeypatch.setattr(sketch, "BATCH_BYTES", 3 * 8 * 500)
     rng = np.random.default_rng(24)
     vectors = [rng.normal(size=500) for _ in range(12)]
     pools = _pools(rng, len(vectors), 30)
     needed = {frozenset((a, b)) for ids in pools.values() for a in ids for b in ids if a != b}
     assert sum(len(ids) * (len(ids) - 1) // 2 for ids in pools.values()) > 2 * len(needed)
-    table = ThreeRows(pools)
+    table = PairTable(pools)
     assert table.n_pairs == len(needed)
     flat = table.compute(vectors)
     assert flat.shape == (len(needed) + 1,) and flat[-1] == 0.0
     assert table.compute(vectors, threads=2).tobytes() == flat.tobytes()
     for key, ids in pools.items():
-        want = _pairwise_sq_distances(np.stack([vectors[v] for v in ids]))
+        want = _broadcast_sq(np.stack([vectors[v] for v in ids]))
         assert table.submatrix(flat, key).tobytes() == want.tobytes()
 
 

@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import hashlib
 import numpy as np
-from sketchdfl.aggregation import _pairwise_sq_distances, balance_filter
+from sketchdfl.aggregation import PairTable, balance_filter
 from sketchdfl.learning import LogisticTask, TaskSpec, _class_scores, _eval_block
 from sketchdfl.sketch import Sketch, sketch_distance
 
@@ -33,7 +33,8 @@ me = rng.normal(size=20_000)
 nbrs = {j: me + rng.normal(scale=0.1 * j, size=20_000) for j in range(1, 5)}
 out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5)
 print(repr(out.threshold), repr(out.distances))
-print(_pairwise_sq_distances(np.stack([me, *nbrs.values()])).tobytes().hex())
+pairs = PairTable({0: range(1 + len(nbrs))})
+print(pairs.submatrix(pairs.compute([me, *nbrs.values()]), 0).tobytes().hex())
 a, b = Sketch(me, fingerprint=1), Sketch(nbrs[1], fingerprint=1)
 print(repr(a.norm()), repr(sketch_distance(a, b)))
 for n, cols in ((16, 128), (48, 33)):

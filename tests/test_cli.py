@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and the built-in check suites."""
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from sketchdfl.cli import (
     EXIT_DIVERGENCE,
     EXIT_INVARIANT,
     EXIT_OK,
+    MAX_RANGE_VALUES,
     _build_parser,
     _parse_fractions,
     _parse_masters,
@@ -216,6 +218,30 @@ def test_parse_fractions_range_is_inclusive():
         _parse_fractions("0.8:0:0.1")
     with pytest.raises(ConfigurationError, match="cannot parse"):
         _parse_fractions("lots")
+
+
+@pytest.mark.parametrize("byz, message", [
+    ("a:0.8:0.1", "cannot parse --byz value 'a:0.8:0.1'"),
+    # about 8e299 values: refused by its count, before any value is built
+    ("0:0.8:1e-300", "has 8e\\+299 values, more than 10000"),
+])
+def test_sweep_bad_byz_range_exits_2_at_once(tmp_path, capsys, byz, message):
+    cfg = tiny_file(tmp_path)
+    start = time.perf_counter()
+    code = main(["sweep", "--config", str(cfg), "--byz", byz, "--seeds", "1",
+                 "--out", str(tmp_path / "sw")])
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
+
+
+def test_parse_fractions_range_holds_at_most_max_range_values():
+    assert len(_parse_fractions("0:0.9999:0.0001")) == MAX_RANGE_VALUES
+    with pytest.raises(ConfigurationError, match="has 10001 values"):
+        _parse_fractions("0:1:0.0001")
+    with pytest.raises(ConfigurationError, match="has inf values"):
+        _parse_fractions("0:0.8:5e-324")   # the step count overflows to inf
 
 
 def test_parse_masters_count_or_list():

@@ -50,6 +50,26 @@ def test_inline_comments_and_case_insensitive_bools():
     assert cfg.threads == 4
 
 
+def test_keys_bools_and_none_ignore_case_but_sections_and_kinds_do_not():
+    cfg = parse_config_text(
+        """
+        [task]
+        KIND = quadratic
+        [run]
+        Verification = FALSE
+        [aggregator]
+        krum_f = None
+        """
+    )
+    assert cfg.task.kind == "quadratic"
+    assert cfg.verification is False
+    assert cfg.aggregator.krum_f is None
+    with pytest.raises(ConfigurationError, match=r"unknown section \[Task\]"):
+        parse_config_text("[Task]\nkind = logistic\n")
+    with pytest.raises(ConfigurationError, match="unknown task kind 'Logistic'"):
+        parse_config_text("[task]\nkind = Logistic\n")
+
+
 def test_krum_f_and_sketch_seed_accept_none():
     cfg = parse_config_text(
         """

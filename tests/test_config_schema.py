@@ -34,9 +34,26 @@ def section_keys(text: str) -> list[tuple[str, str]]:
     return [(section, " ".join(parser[section])) for section in parser.sections()]
 
 
-def readme_ini() -> str:
-    (block,) = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+def reference_ini(markdown: str) -> str:
+    """The one ```ini block that starts at [task] and holds all six sections;
+    other ini examples beside it may show a few keys."""
+    (block,) = [
+        block for block in re.findall(r"```ini\n(.*?)```", markdown, re.S)
+        if block.startswith("[task]\n")
+        and {s for s, _ in PINNED} <= set(re.findall(r"^\[(\w+)\]", block, re.M))
+    ]
     return block
+
+
+def readme_ini() -> str:
+    return reference_ini((ROOT / "README.md").read_text())
+
+
+def test_reference_block_is_found_among_other_ini_examples():
+    full = emit_config(SimConfig())
+    partial = "[task]\nkind = quadratic\n\n[run]\nnodes = 5\n"
+    markdown = "".join(f"```ini\n{block}```\n" for block in (partial, full, "[run]\nrounds = 2\n"))
+    assert reference_ini(markdown) == full
 
 
 def test_emitted_keys_are_pinned():
