@@ -1,8 +1,7 @@
 """Command-line entry point.
 
-Subcommands: run, sweep, check. Exit codes: 0 success,
-2 configuration problem, 3 protocol/invariant/property violation,
-4 numerical divergence.
+Subcommands: run, sweep. Exit codes: 0 success, 2 configuration
+problem, 3 protocol/invariant violation, 4 numerical divergence.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checks import run_checks
 from .config import emit_config, parse_config
 from .engine import metrics_rows, run_simulation, sweep
 from .errors import (
@@ -26,7 +24,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_DIVERGENCE = 4
-MAX_RANGE_VALUES = 10_000  # most values a --byz LO:HI:STEP range may expand to
+# most values a --byz LO:HI:STEP range, or a --seeds count, may expand to
+MAX_RANGE_VALUES = 10_000
 
 
 def _parse_fractions(text: str) -> list[float]:
@@ -54,13 +53,17 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def _parse_masters(text: str) -> list[int]:
-    """A count ("3" -> seeds 0,1,2) or an explicit comma list."""
+    """A count ("3" -> seeds 0,1,2; at most MAX_RANGE_VALUES) or an
+    explicit comma list."""
     try:
         if "," in text:
             return [int(p) for p in text.split(",") if p.strip()]
-        return list(range(int(text)))
+        count = int(text)
     except ValueError:
         raise ConfigurationError(f"cannot parse --seeds value {text!r}") from None
+    if count > MAX_RANGE_VALUES:
+        raise ConfigurationError(f"--seeds count {count} is more than {MAX_RANGE_VALUES}")
+    return list(range(count))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--byz", required=True, help="LO:HI:STEP or comma list")
     sweep_p.add_argument("--seeds", default="3", help="replicate count or comma list of master seeds")
     sweep_p.add_argument("--out", default="results/sweep")
-
-    check_p = sub.add_parser("check", help="run property suites")
-    check_p.add_argument("--suite", default=None, help="sketch, filter, or engine (default: all)")
     return parser
 
 
@@ -134,19 +134,12 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    _, failed, lines = run_checks(args.suite)
-    print("\n".join(lines))
-    return EXIT_OK if failed == 0 else EXIT_INVARIANT
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

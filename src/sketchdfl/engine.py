@@ -13,8 +13,10 @@ models. Each attacker writes its transmission into its own round-start
 row, which no one else reads once training is done. Honest nodes settle
 into their round-start rows; each attacker settles into its trained
 row, which only it reads, and that row is copied back after settlement.
-Evaluation scores the honest models in blocks of bounded size. So after
-round 0 no phase allocates another (n, d) array, or a row per attacker.
+Evaluation scores the honest models in blocks of bounded size, and
+per-client evaluation reads the shards in place. So after round 0 no
+phase allocates another (n, d) array, or a row per attacker, or a copy
+of the honest shards.
 The thread pool runs sketching and settlement. Phases are bulk-synchronous:
 each reads only the frozen snapshot from the previous phase, every
 random draw comes from a stream keyed on (seed, round, node), and
@@ -269,8 +271,6 @@ def run_simulation(
     models = np.broadcast_to(init, (config.n_nodes, task.dim))  # (n, d), one row per node
     spare = np.empty((config.n_nodes, task.dim))
     attacking = bool(byz) and config.attack.kind != "none"
-    eval_set = ((data.features[honest], data.labels[honest]) if config.per_client_eval
-                else (data.test_features, data.test_labels))
 
     if kind == "krum":
         # vector ids: j is what node j sends; an attacker screens with its
@@ -388,7 +388,12 @@ def run_simulation(
             for j in fetched:
                 uploads[j] += 1
 
-        ter = float(np.mean(test_error_rate(task, models[:, : task.active_dim][honest], *eval_set)))
+        active = models[:, : task.active_dim]
+        if config.per_client_eval:  # shards read in place; attackers' scores dropped
+            scores = test_error_rate(task, active, data.features, data.labels)[honest]
+        else:
+            scores = test_error_rate(task, active[honest], data.test_features, data.test_labels)
+        ter = float(np.mean(scores))
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
         byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(

@@ -1,4 +1,4 @@
-"""CLI subcommands, exit codes, and the built-in check suites."""
+"""CLI subcommands, argument parsing and exit codes."""
 import json
 import re
 import time
@@ -8,7 +8,6 @@ import pytest
 
 import sketchdfl.cli as cli
 import sketchdfl.engine as engine
-from sketchdfl.checks import run_checks
 from sketchdfl.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -249,6 +248,21 @@ def test_parse_masters_count_or_list():
     assert _parse_masters("5,7") == [5, 7]
     with pytest.raises(ConfigurationError, match="cannot parse"):
         _parse_masters("x")
+    assert len(_parse_masters(str(MAX_RANGE_VALUES))) == MAX_RANGE_VALUES
+    with pytest.raises(ConfigurationError, match="count 10001 is more than 10000"):
+        _parse_masters(str(MAX_RANGE_VALUES + 1))
+
+
+def test_sweep_huge_seed_count_exits_2_at_once(tmp_path, capsys):
+    # refused by its count, before a list of 10**12 seeds is built
+    cfg = tiny_file(tmp_path)
+    start = time.perf_counter()
+    code = main(["sweep", "--config", str(cfg), "--byz", "0", "--seeds", "1000000000000",
+                 "--out", str(tmp_path / "sw")])
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_CONFIG
+    assert "--seeds count 1000000000000" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
 def test_sweep_fraction_out_of_range_exits_2(tmp_path, capsys):
@@ -269,39 +283,6 @@ def test_sweep_empty_list_exits_2(tmp_path, capsys, byz, seeds):
     assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
-# ----------------------------------------------------------------- check
-
-def test_check_command_passes(capsys):
-    assert main(["check"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "0 failed" in out
-
-
-def test_check_single_suite(capsys):
-    assert main(["check", "--suite", "sketch"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "sketch:" in out
-    assert "engine:" not in out
-
-
-def test_check_unknown_suite_exits_2(capsys):
-    assert main(["check", "--suite", "quantum"]) == EXIT_CONFIG
-    assert "unknown suite" in capsys.readouterr().err
-
-
-def test_run_checks_reports_failures_without_raising(monkeypatch):
-    import sketchdfl.checks as checks
-
-    def boom():
-        raise AssertionError("deliberate")
-
-    monkeypatch.setitem(checks.SUITES, "sketch", [("boom", boom)])
-    passed, failed, lines = run_checks("sketch")
-    assert failed == 1
-    assert any(line.startswith("FAIL sketch:boom") for line in lines)
-
-
 # ----------------------------------------------------------------- plumbing
 
 def test_version_flag():
@@ -311,7 +292,8 @@ def test_version_flag():
 
 
 def test_unknown_command_is_rejected():
-    for command in ("teleport", "bench"):  # run reports the costs bench printed
+    # run reports the costs bench printed; the pytest suites replace check
+    for command in ("teleport", "bench", "check"):
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2

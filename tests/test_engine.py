@@ -585,6 +585,32 @@ def test_run_holds_two_model_stacks(kind):
         assert peaks[2] <= peaks[0] + d * 8, attack
 
 
+def test_per_client_eval_reads_shards_in_place():
+    # scoring each honest node on its own shard reads the shard stack in
+    # place: a gathered copy of the honest shards, held for the whole run,
+    # would alone outweigh the run's peak (models here are small, shards big)
+    n, byz_fraction = 16, 0.25
+    data = generate_federated_data(TaskSpec(kind="logistic", samples_per_client=4000), n,
+                                   Seeds().data)
+    cfg = SimConfig(
+        task=data.spec,
+        topology=TopologySpec(kind="k-regular", degree=4),
+        attack=AttackSpec(kind="gaussian"),
+        n_nodes=n,
+        byz_fraction=byz_fraction,
+        rounds=1,
+        per_client_eval=True,
+    )
+    honest_copy = (1 - byz_fraction) * (data.features.nbytes + data.labels.nbytes)
+    tracemalloc.start()
+    try:
+        run_simulation(cfg, data=data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < honest_copy, (peak, honest_copy)
+
+
 # ------------------------------------------------------------- screening cost
 
 def test_screening_ops_double_with_degree():
