@@ -81,12 +81,16 @@ def gamma_eff(gamma: float, eps: float) -> float:
 
 
 def _screen(self_vector: np.ndarray, neighbor_vectors: Mapping[int, np.ndarray],
-            gamma: float, kappa: float, t: int, rounds: int) -> FilterOutcome:
+            gamma: float, kappa: float, t: int, rounds: int,
+            sq: np.ndarray | None = None) -> FilterOutcome:
     """The screening rule, on models or sketch values alike: accept every
     neighbour within the adaptive threshold of the node's own vector; if
-    none is, fall back to the single closest (lowest id on ties)."""
+    none is, fall back to the single closest (lowest id on ties). `sq`,
+    when given, holds the squared distances to the neighbours in mapping
+    order, as a star PairTable's row gives them; else it is computed here."""
     threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_vector))
-    sq = _sq_distances(self_vector, list(neighbor_vectors.values()))
+    if sq is None:
+        sq = _sq_distances(self_vector, list(neighbor_vectors.values()))
     distances = dict(zip(neighbor_vectors, map(math.sqrt, sq.tolist())))
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
     if accepted or not distances:
@@ -102,9 +106,10 @@ def balance_filter(
     kappa: float,
     t: int,
     rounds: int,
+    sq: np.ndarray | None = None,
 ) -> FilterOutcome:
     """Full-precision distance screening against the node's own model."""
-    return _screen(self_model, neighbor_models, gamma, kappa, t, rounds)
+    return _screen(self_model, neighbor_models, gamma, kappa, t, rounds, sq)
 
 
 def sketch_filter(
@@ -114,6 +119,7 @@ def sketch_filter(
     kappa: float,
     t: int,
     rounds: int,
+    sq: np.ndarray | None = None,
 ) -> FilterOutcome:
     """balance_filter's rule run on sketch values, once every sketch is
     known to come from the node's own hash family."""
@@ -122,7 +128,7 @@ def sketch_filter(
             "sketch fingerprints differ; sketches come from different hash families"
         )
     values = {j: s.values for j, s in neighbor_sketches.items()}
-    return _screen(self_sketch.values, values, gamma, kappa, t, rounds)
+    return _screen(self_sketch.values, values, gamma, kappa, t, rounds, sq)
 
 
 def aggregate_mixed(
@@ -178,21 +184,24 @@ class PairTable:
     each unordered pair computed once however many pools hold it.
 
     `pools` maps a key to the vector ids of one pool, in pool order; the
-    layout is fixed here. `compute(vectors)` returns one flat table for a
-    list of vectors indexed by id, and `submatrix(table, key)` reads that
-    pool's (m, m) matrix out of it. Memory grows with the number of distinct
-    pairs, not with the number of vectors squared, and the distances go
-    through a buffer of at most sketch.BATCH_BYTES.
+    layout is fixed here. A star layout (`star=True`) holds only the pairs
+    of each pool's first id with the others. `compute(vectors)` returns one
+    flat table for a list of vectors indexed by id; `submatrix(table, key)`
+    reads that pool's (m, m) matrix out of it, and `row(table, key)` the
+    distances from its first vector to the others. Memory grows with the
+    number of distinct pairs, not with the number of vectors squared, and
+    the distances go through a buffer of at most sketch.BATCH_BYTES.
     """
 
-    def __init__(self, pools: Mapping[object, Sequence[int]]) -> None:
+    def __init__(self, pools: Mapping[object, Sequence[int]], star: bool = False) -> None:
         slots: dict[tuple[int, int], int] = {}
         self._positions: dict[object, np.ndarray] = {}
         for key, ids in pools.items():
             m = len(ids)
-            # the diagonal reads slot -1, the table's trailing 0.0
+            # the diagonal, and in a star every pair without the first id,
+            # reads slot -1, the table's trailing 0.0
             pos = np.full((m, m), -1, dtype=np.intp)
-            for r in range(m):
+            for r in range(1 if star else m):
                 for c in range(r + 1, m):
                     pair = (ids[r], ids[c]) if ids[r] <= ids[c] else (ids[c], ids[r])
                     pos[r, c] = pos[c, r] = slots.setdefault(pair, len(slots))
@@ -234,6 +243,10 @@ class PairTable:
     def submatrix(self, table: np.ndarray, key: object) -> np.ndarray:
         """The (m, m) squared-distance matrix of pool `key`."""
         return table[self._positions[key]]
+
+    def row(self, table: np.ndarray, key: object) -> np.ndarray:
+        """Squared distances from pool `key`'s first vector to the others."""
+        return table[self._positions[key][0, 1:]]
 
 
 def krum_select_index(

@@ -6,7 +6,10 @@ against the sketch it advertised (an honest sender's pair matches by
 construction; the modelled agg_ops still bill every receiver's check),
 then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
-the check. A run holds two (n, d) model stacks in fixed roles: lockstep
+the check. Screening distances are measured once per distinct pair per
+round, in one table shared by every receiver (from either end a pair has
+the same bits); the modelled screen_ops still bill each receiver for its
+own. A run holds two (n, d) model stacks in fixed roles: lockstep
 training always writes the spare, and the round-start stack (a fresh
 one in round 0, whose start is a read-only broadcast) takes the new
 models. Each attacker writes its transmission into its own round-start
@@ -17,11 +20,11 @@ Evaluation scores the honest models in blocks of bounded size, and
 per-client evaluation reads the shards in place. So after round 0 no
 phase allocates another (n, d) array, or a row per attacker, or a copy
 of the honest shards.
-The thread pool runs sketching and settlement. Phases are bulk-synchronous:
-each reads only the frozen snapshot from the previous phase, every
-random draw comes from a stream keyed on (seed, round, node), and
-reductions run in node-id order, so results are byte-identical whatever
-the thread budget.
+The thread pool runs sketching, the pair table and settlement. Phases
+are bulk-synchronous: each reads only the frozen snapshot from the
+previous phase, every random draw comes from a stream keyed on (seed,
+round, node), and reductions run in node-id order, so results are
+byte-identical whatever the thread budget.
 """
 from __future__ import annotations
 
@@ -217,6 +220,12 @@ def _resolve_sketch_params(config: SimConfig, dim: int) -> SketchParams:
         raise ConfigurationError(
             f"sketch_size {width} exceeds model dimension {dim}"
         )
+    if not config.aggregator.sketch_size and epsilon_hat(width) >= 0.99:
+        warnings.warn(
+            f"default sketch width {width} is 36 or less, where epsilon_hat is "
+            "capped at 0.99 and bounds no distortion; set [aggregator] sketch_size",
+            RuntimeWarning,
+        )
     seed = config.aggregator.sketch_seed
     return SketchParams(dim=dim, width=width, seed=config.seeds.sketch if seed is None else seed)
 
@@ -272,15 +281,19 @@ def run_simulation(
     spare = np.empty((config.n_nodes, task.dim))
     attacking = bool(byz) and config.attack.kind != "none"
 
-    if kind == "krum":
+    screening = kind != "dfedavg"
+    if screening:
         # vector ids: j is what node j sends; an attacker screens with its
-        # own trained model, id n + i, which differs from what it sent
+        # own trained vector, id n + i, which differs from what it sent.
+        # Krum measures all pairs of its pools of 3 or more, the filters
+        # only each receiver's own vector against its neighbours'.
         own = [config.n_nodes + i if attacking and i in byz_set else i
                for i in range(config.n_nodes)]
-        krum_pairs = PairTable({
+        star = kind != "krum"
+        pairs = PairTable({
             i: [own[i], *graph.neighbors[i]]
-            for i in range(config.n_nodes) if graph.degree(i) >= 2  # pools of 3 or more
-        })
+            for i in range(config.n_nodes) if star or graph.degree(i) >= 2
+        }, star=star)
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
@@ -330,12 +343,10 @@ def run_simulation(
                         )
             del ctx  # directed-deviation's honest statistics
 
-        if kind == "krum":
-            # Simulation shortcut, like the one verify per sender above: each
-            # pair of models that meets in some pool is measured once a round
-            # and shared by every pool that holds it. The modelled screen_ops
-            # still bill each receiver for every pair of its own pool.
-            krum_sq = krum_pairs.compute([*transmit, *trained], config.threads)
+        if screening:
+            vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if sketching
+                       else [*transmit, *trained])
+            sq = pairs.compute(vectors, config.threads)
 
         def settle(i: int) -> tuple[list[int], bool]:
             """Writes node i's new model into mixed[i], or, for an attacker
@@ -352,18 +363,18 @@ def run_simulation(
                 chosen = 0  # krum is undefined below 3 models: keep own model
                 if len(pool) >= 3:
                     chosen = krum_select_index(pool, _krum_f(config, len(pool)),
-                                               sq=krum_pairs.submatrix(krum_sq, i))
+                                               sq=pairs.submatrix(sq, i))
                 dest[...] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
             if sketching:
                 screened = sketch_filter(
                     own_sketch[i], {j: tx_sketch[j] for j in nbrs},
-                    agg.gamma, agg.kappa, t, config.rounds,
+                    agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i),
                 )
             else:
                 screened = balance_filter(
                     trained[i], {j: transmit[j] for j in nbrs},
-                    agg.gamma, agg.kappa, t, config.rounds,
+                    agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i),
                 )
             if chosen := {j: transmit[j] for j in screened.accepted if verified[j]}:
                 aggregate_mixed(trained[i], chosen, agg.alpha, out=dest)

@@ -383,6 +383,38 @@ def test_pair_table_batches_bitwise_and_holds_only_needed_pairs(monkeypatch):
         assert table.submatrix(flat, key).tobytes() == want.tobytes()
 
 
+def _star_row(me, neighbors):
+    """Squared distances from `me` to `neighbors`, in mapping order, read
+    from a star PairTable. `me` takes the highest id, so every pair is
+    anchored on the neighbour: the row holds (a - b)² where the filters
+    compute (b - a)²."""
+    me_id = max(neighbors, default=-1) + 1
+    vectors = [me] * (me_id + 1)
+    for j, w in neighbors.items():
+        vectors[j] = w
+    pairs = PairTable({0: [me_id, *neighbors]}, star=True)
+    return pairs.row(pairs.compute(vectors), 0)
+
+
+@pytest.mark.parametrize("spread, fallback", [(0.1, False), (100.0, True)])
+def test_filters_given_a_table_row_match_the_call_without(spread, fallback):
+    # spread 100 puts every neighbour outside the threshold: the fallback
+    rng = np.random.default_rng(25)
+    me = rng.normal(size=3_000)
+    step = rng.normal(scale=spread, size=3_000)
+    cases = [{}, {5: me + step},
+             {11: me + step, 3: me - step, 4: me + 2 * step, 0: me + 3 * step}]
+    for neighbors in cases:
+        row = _star_row(me, neighbors)
+        want = balance_filter(me, neighbors, 0.5, 1.0, 1, 4)
+        assert want.fallback_used == (fallback and bool(neighbors))
+        assert balance_filter(me, neighbors, 0.5, 1.0, 1, 4, row) == want
+        sketches = {j: Sketch(w, fingerprint=7) for j, w in neighbors.items()}
+        want = sketch_filter(Sketch(me, 7), sketches, 0.5, 1.0, 1, 4)
+        assert sketch_filter(Sketch(me, 7), sketches, 0.5, 1.0, 1, 4, row) == want
+    assert want.accepted in ([[3], [11]] if fallback else [[0, 3, 4, 11]])
+
+
 def test_krum_needs_enough_models():
     models = [np.zeros(3)] * 4
     with pytest.raises(ConfigurationError):

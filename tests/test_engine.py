@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sketchdfl.aggregation as aggregation
 import sketchdfl.engine as engine
 import sketchdfl.sketch as sketch
 from sketchdfl.aggregation import AggregatorSpec, PairTable
@@ -69,10 +71,15 @@ def test_identical_configs_give_identical_runs():
 
 @pytest.mark.parametrize("threads", [2, 8])
 def test_thread_budget_does_not_change_output(threads):
-    serial = run_simulation(tiny_config(threads=1))
-    pooled = run_simulation(tiny_config(threads=threads))
-    assert csv_bytes(serial) == csv_bytes(pooled)
-    np.testing.assert_array_equal(serial.final_models, pooled.final_models)
+    # every aggregator, with attackers advertising stale sketches, so each
+    # screening path's threaded pair table is checked byte for byte
+    for kind in ("sketchfilter", "balance", "dfedavg", "krum"):
+        cfg = tiny_config(aggregator=AggregatorSpec(kind=kind, sketch_size=8), byz_fraction=0.3,
+                          attack=AttackSpec(kind="gaussian", consistent_sketch=False))
+        serial = run_simulation(cfg)
+        pooled = run_simulation(replace(cfg, threads=threads))
+        assert csv_bytes(serial) == csv_bytes(pooled), kind
+        assert serial.final_models.tobytes() == pooled.final_models.tobytes(), kind
 
 
 def test_shuffled_node_processing_order_is_invisible(monkeypatch):
@@ -310,13 +317,14 @@ class _Tagged(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
-@pytest.mark.parametrize("attack, threads", [("none", 1), ("directed-deviation", 1),
-                                            ("directed-deviation", 2)])
-def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads):
-    # directed-deviation attackers all send one model but screen with their
-    # own: both ids must be measured, and each distinct pair only once
+def _measured_pairs(monkeypatch, kind, attack, threads):
+    """Runs a 12-node graph under `kind`; returns the run, its graph, each
+    node's own vector id (an attacker screens with its trained vector, id
+    n + i, not the one it sends), and per round the id pairs the engine's
+    PairTable differenced. Any screening distance taken outside the table
+    fails the run."""
     cfg = tiny_config(
-        aggregator=AggregatorSpec(kind="krum"),
+        aggregator=AggregatorSpec(kind=kind, sketch_size=8),
         topology=TopologySpec(kind="erdos-renyi", p=0.5),
         n_nodes=12,
         byz_fraction=0.25,
@@ -334,16 +342,36 @@ def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads)
                 w.tag, w.log = v, log
             return super().compute(tagged, threads)
 
+    kernel = aggregation._sq_distances
+
+    def table_only(anchor, rows, buf=None):
+        assert isinstance(anchor, _Tagged), "a screening distance outside the pair table"
+        return kernel(anchor, rows, buf)
+
     monkeypatch.setattr(engine, "PairTable", RecordingTable)
+    monkeypatch.setattr(aggregation, "_sq_distances", table_only)
     res = run_simulation(cfg)
     n = cfg.n_nodes
-    graph = build_topology(cfg.topology, n, cfg.seeds.topology)
+    assert len(rounds) == cfg.rounds
     byz = set(res.manifest["byzantine_nodes"])
     own = [n + i if i in byz and attack != "none" else i for i in range(n)]
+    return res, build_topology(cfg.topology, n, cfg.seeds.topology), own, rounds
+
+
+_PAIR_CASES = [("none", 1), ("none", 2), ("directed-deviation", 1), ("directed-deviation", 2)]
+
+
+@pytest.mark.parametrize("attack, threads", _PAIR_CASES)
+def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads):
+    # directed-deviation attackers all send one model but screen with their
+    # own: both ids must be measured, and each distinct pair only once
+    res, graph, own, rounds = _measured_pairs(monkeypatch, "krum", attack, threads)
+    n = len(own)
+    byz = set(res.manifest["byzantine_nodes"])
     pools = [[own[i], *graph.neighbors[i]] for i in range(n) if graph.degree(i) >= 2]
     needed = {frozenset((a, b)) for ids in pools for a in ids for b in ids if a != b}
     per_node = sum(len(ids) * (len(ids) - 1) // 2 for ids in pools)
-    assert len(rounds) == cfg.rounds and len(needed) < per_node
+    assert len(needed) < per_node
     for log in rounds:
         assert len(log) == len(set(log)) and set(log) == needed
     # the modelled cost still bills every receiver for its whole pool
@@ -352,6 +380,26 @@ def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads)
     for m in res.metrics:
         assert m.screen_ops_mean == np.mean([
             d * graph.degree(i) * (graph.degree(i) + 1) // 2 for i in honest])
+
+
+@pytest.mark.parametrize("kind", ["balance", "sketchfilter"])
+@pytest.mark.parametrize("attack, threads", _PAIR_CASES)
+def test_filters_measure_each_edge_once_a_round(monkeypatch, kind, attack, threads):
+    # a receiver needs only its own vector against each neighbour's; an
+    # edge between two nodes that screen with what they send is one pair
+    res, graph, own, rounds = _measured_pairs(monkeypatch, kind, attack, threads)
+    n = len(own)
+    needed = {frozenset((own[i], j)) for i in range(n) for j in graph.neighbors[i]}
+    plain = sum(own[a] == a and own[b] == b for a, b in graph.edges())
+    assert len(needed) == 2 * len(graph.edges()) - plain and plain > 0
+    for log in rounds:
+        assert len(log) == len(set(log)) and set(log) == needed
+    # the modelled cost still bills every receiver for each neighbour
+    d, k = res.manifest["model_dim"], (res.manifest["sketch"] or {}).get("width", 0)
+    honest = [i for i in range(n) if i not in set(res.manifest["byzantine_nodes"])]
+    for m in res.metrics:
+        assert m.screen_ops_mean == np.mean([
+            screening_ops(kind, d, k, graph.degree(i)) for i in honest])
 
 
 # ------------------------------------------------------------- config guards
@@ -379,6 +427,25 @@ def test_sketch_width_must_fit_model():
     cfg = tiny_config(aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=512))
     with pytest.raises(ConfigurationError, match="exceeds model dimension"):
         run_simulation(cfg)
+
+
+def _padded_quadratic(dim, sketch_size=0) -> SimConfig:
+    task = TaskSpec(kind="quadratic", features=8, dim=dim, samples_per_client=32, test_samples=64)
+    return tiny_config(task=task, rounds=1,
+                       aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=sketch_size))
+
+
+@pytest.mark.parametrize("dim, width", [(8, 8), (288, 36)])
+def test_default_sketch_width_warns_where_epsilon_hat_is_capped(dim, width):
+    # at k <= 36 epsilon_hat sits at its 0.99 cap and bounds nothing
+    with pytest.warns(RuntimeWarning, match=f"default sketch width {width} is 36 or less") as caught:
+        res = run_simulation(_padded_quadratic(dim))
+    assert len(caught) == 1 and res.manifest["sketch"]["epsilon_hat"] == 0.99
+    # a default of 37, or a width the config sets, stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_simulation(_padded_quadratic(296)).manifest["sketch"]["width"] == 37
+        run_simulation(_padded_quadratic(dim, sketch_size=8))
 
 
 def test_disconnected_honest_subgraph_warns_and_flags():
