@@ -20,18 +20,24 @@ Evaluation scores the honest models in blocks of bounded size, and
 per-client evaluation reads the shards in place. So after round 0 no
 phase allocates another (n, d) array, or a row per attacker, or a copy
 of the honest shards.
-The thread pool runs sketching, the pair table and settlement. Phases
-are bulk-synchronous: each reads only the frozen snapshot from the
-previous phase, every random draw comes from a stream keyed on (seed,
-round, node), and reductions run in node-id order, so results are
-byte-identical whatever the thread budget.
+The thread pool runs sketching, the pair table and settlement; while it
+does (threads > 1) numpy's OpenBLAS is held at one thread, so no idle
+BLAS worker spins on a core the pool needs. Phases are bulk-synchronous:
+each reads only the frozen snapshot from the previous phase, every
+random draw comes from a stream keyed on (seed, round, node), and
+reductions run in node-id order, so results are byte-identical whatever
+the thread budget.
 """
 from __future__ import annotations
 
+import ctypes
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from functools import cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -214,6 +220,59 @@ def _pmap(fn: Callable[[int], object], n: int, threads: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
+@cache
+def _blas_threads_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS numpy links, or None
+    where numpy links another BLAS. A dlsym on numpy's core module also
+    searches the libraries it loaded, so a bundled OpenBLAS is found."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0  # pooled runs in progress
+_blas_saved = 0  # the count before the first of them
+
+
+@contextmanager
+def _one_blas_thread(threads: int) -> Iterator[None]:
+    """Holds OpenBLAS at one thread while a pooled run (threads > 1) is in
+    progress, so its idle workers do not spin on the pool's cores; the
+    count is process-wide, so the first run in saves it and the last one
+    out restores it. Output bits do not depend on the BLAS thread count."""
+    global _blas_depth, _blas_saved
+    api = _blas_threads_api() if threads > 1 else None
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def _resolve_sketch_params(config: SimConfig, dim: int) -> SketchParams:
     width = config.aggregator.sketch_size or default_sketch_width(dim)
     if width > dim:
@@ -249,8 +308,15 @@ def run_simulation(
     the run, and the final models. Deterministic in everything including
     the thread budget. `data`, when given, must be what
     `generate_federated_data` returns for this config's task, node count
-    and data seed; the run only reads it, so runs may share it.
+    and data seed; the run only reads it, so runs may share it. With
+    threads > 1 the run holds numpy's OpenBLAS at one thread and restores
+    its count on exit, whether the run returns or raises.
     """
+    with _one_blas_thread(config.threads):
+        return _simulate(config, run_id, data)
+
+
+def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None) -> RunResult:
     kind = config.aggregator.kind
     agg = config.aggregator
     if data is None:
@@ -284,10 +350,13 @@ def run_simulation(
     screening = kind != "dfedavg"
     if screening:
         # vector ids: j is what node j sends; an attacker screens with its
-        # own trained vector, id n + i, which differs from what it sent.
-        # Krum measures all pairs of its pools of 3 or more, the filters
-        # only each receiver's own vector against its neighbours'.
-        own = [config.n_nodes + i if attacking and i in byz_set else i
+        # own trained vector, id n + i, which differs from what it sent,
+        # unless it advertises its own sketch (consistent_sketch = false),
+        # which is then the vector it screens with. Krum measures all pairs
+        # of its pools of 3 or more, the filters only each receiver's own
+        # vector against its neighbours'.
+        sends_own = sketching and not config.attack.consistent_sketch
+        own = [config.n_nodes + i if attacking and i in byz_set and not sends_own else i
                for i in range(config.n_nodes)]
         star = kind != "krum"
         pairs = PairTable({

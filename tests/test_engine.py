@@ -2,9 +2,12 @@
 import hashlib
 import json
 import random
+import sys
+import time
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from sketchdfl.engine import (
     screening_ops,
     sweep,
 )
-from sketchdfl.errors import ConfigurationError
+from sketchdfl.errors import ConfigurationError, NumericalDivergenceError
 from sketchdfl.io import metrics_csv_text
 from sketchdfl.learning import TaskSpec, generate_federated_data
 from sketchdfl.topology import TopologySpec, build_topology, sample_byzantine_nodes
@@ -80,6 +83,95 @@ def test_thread_budget_does_not_change_output(threads):
         pooled = run_simulation(replace(cfg, threads=threads))
         assert csv_bytes(serial) == csv_bytes(pooled), kind
         assert serial.final_models.tobytes() == pooled.final_models.tobytes(), kind
+
+
+# ---------------------------------------------------------------- BLAS budget
+
+@pytest.fixture
+def blas_count():
+    """numpy's OpenBLAS thread count getter, set to 2 first so the guard's
+    change to 1 shows on any host; the count is restored afterwards."""
+    api = engine._blas_threads_api()
+    if api is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_blas_setter_found_where_numpy_links_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy links {blas.get('name')}, not OpenBLAS")
+    assert engine._blas_threads_api() is not None
+
+
+def test_pooled_run_holds_blas_at_one_thread_then_restores_it(monkeypatch, blas_count):
+    seen: list[int] = []
+    evaluate = engine.test_error_rate
+
+    def probed(*args):
+        seen.append(blas_count())
+        return evaluate(*args)
+
+    monkeypatch.setattr(engine, "test_error_rate", probed)
+    cfg = tiny_config(threads=2)
+    run_simulation(cfg)
+    assert seen == [1] * cfg.rounds
+    assert blas_count() == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the update overflows
+def test_pooled_run_that_raises_restores_blas_count(blas_count):
+    with pytest.raises(NumericalDivergenceError):
+        run_simulation(tiny_config(threads=2, lr=1e200))
+    assert blas_count() == 2
+
+
+def test_serial_run_never_sets_blas_count(monkeypatch):
+    def refuse(count):
+        raise AssertionError(f"a threads = 1 run set the BLAS count to {count}")
+
+    monkeypatch.setattr(engine, "_blas_threads_api", lambda: (lambda: 2, refuse))
+    run_simulation(tiny_config(threads=1))
+
+
+def test_nested_and_concurrent_pooled_runs_save_and_restore_blas_count_once(monkeypatch):
+    count, sets = [3], []
+
+    # each call yields the interpreter lock inside the guard's check-then-act
+    def get():
+        time.sleep(0)
+        return count[0]
+
+    def set_(k):
+        time.sleep(0)
+        sets.append(k)
+        count[0] = k
+
+    monkeypatch.setattr(engine, "_blas_threads_api", lambda: (get, set_))
+    held: list[int] = []
+
+    def runs(_):
+        for _ in range(200):
+            with engine._one_blas_thread(2):
+                with engine._one_blas_thread(4):
+                    held.append(count[0])
+                held.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(runs, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(held) == 2 * 8 * 200 and set(held) == {1}
+    # every save is paired with one restore, the last to the count before
+    assert sets[0::2] == [1] * (len(sets) // 2) and sets[1::2] == [3] * (len(sets) // 2)
+    assert count == [3]
 
 
 def test_shuffled_node_processing_order_is_invisible(monkeypatch):
@@ -400,6 +492,28 @@ def test_filters_measure_each_edge_once_a_round(monkeypatch, kind, attack, threa
     for m in res.metrics:
         assert m.screen_ops_mean == np.mean([
             screening_ops(kind, d, k, graph.degree(i)) for i in honest])
+
+
+def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkeypatch):
+    # an attacker that advertises its own sketch (consistent_sketch = false)
+    # screens with the vector it sends, so the graph's edges are every pair
+    n_pairs: list[int] = []
+
+    class RecordingTable(PairTable):
+        def __init__(self, pools, star=False):
+            super().__init__(pools, star)
+            n_pairs.append(self.n_pairs)
+
+    monkeypatch.setattr(engine, "PairTable", RecordingTable)
+    cfg = tiny_config(
+        topology=TopologySpec(kind="k-regular", degree=16),
+        n_nodes=64,
+        byz_fraction=0.25,
+        attack=AttackSpec(kind="gaussian", consistent_sketch=False),
+        rounds=1,
+    )
+    run_simulation(cfg)
+    assert n_pairs == [len(build_topology(cfg.topology, 64, cfg.seeds.topology).edges())]
 
 
 # ------------------------------------------------------------- config guards
