@@ -8,9 +8,8 @@ selection (krum).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -185,15 +184,18 @@ class PairTable:
 
     `pools` maps a key to the vector ids of one pool, in pool order; the
     layout is fixed here. A star layout (`star=True`) holds only the pairs
-    of each pool's first id with the others. `compute(vectors)` returns one
-    flat table for a list of vectors indexed by id; `submatrix(table, key)`
-    reads that pool's (m, m) matrix out of it, and `row(table, key)` the
-    distances from its first vector to the others. Memory grows with the
-    number of distinct pairs, not with the number of vectors squared, and
-    the distances go through a buffer of at most sketch.BATCH_BYTES.
+    of each pool's first id with the others. The pairs are dealt here into
+    at most `parts` parts, by their lower id; `compute(vectors, pmap)` runs
+    the parts through the caller's map and returns one flat table for a
+    list of vectors indexed by id. `submatrix(table, key)` reads a pool's
+    (m, m) matrix out of it, and `row(table, key)` the distances from its
+    first vector to the others. Memory grows with the number of distinct
+    pairs, not with the number of vectors squared, and each part's
+    distances go through a buffer of at most sketch.BATCH_BYTES.
     """
 
-    def __init__(self, pools: Mapping[object, Sequence[int]], star: bool = False) -> None:
+    def __init__(self, pools: Mapping[object, Sequence[int]], star: bool = False,
+                 parts: int = 1) -> None:
         slots: dict[tuple[int, int], int] = {}
         self._positions: dict[object, np.ndarray] = {}
         for key, ids in pools.items():
@@ -210,34 +212,26 @@ class PairTable:
         partners: dict[int, list[tuple[int, int]]] = {}
         for (a, b), slot in slots.items():
             partners.setdefault(a, []).append((b, slot))
-        self._anchors = [
+        anchors = [
             (a, [b for b, _ in row], np.array([slot for _, slot in row], dtype=np.intp))
             for a, row in sorted(partners.items())
         ]
+        self._parts = [anchors[w::parts] for w in range(min(parts, len(anchors)))]
+        self._widest = max((len(row) for _, row, _ in anchors), default=0)
         self.n_pairs = len(slots)
 
-    def compute(self, vectors: Sequence[np.ndarray], threads: int = 1) -> np.ndarray:
+    def compute(self, vectors: Sequence[np.ndarray], pmap: Callable = map) -> np.ndarray:
         """Flat table of the layout's squared distances, plus a trailing
-        0.0, each entry computed by _sq_distances from the lower id's vector.
-        With threads > 1 the anchors are dealt out to that many threads,
-        each with its own buffer; no entry depends on which thread computes
-        it."""
+        0.0, each entry computed by _sq_distances from the lower id's
+        vector; no entry depends on which part, or thread, computes it."""
         table = np.zeros(self.n_pairs + 1)
-        if not self._anchors:
-            return table
-        d = len(vectors[self._anchors[0][0]])
-        widest = max(len(row) for _, row, _ in self._anchors)
 
         def fill(anchors: list) -> None:
-            buf = _batch_buffer(widest, d)
+            buf = _batch_buffer(self._widest, len(vectors[0]))
             for a, row, slots in anchors:
                 table[slots] = _sq_distances(vectors[a], [vectors[b] for b in row], buf)
 
-        if threads <= 1:
-            fill(self._anchors)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, [self._anchors[w::threads] for w in range(threads)]))
+        list(pmap(fill, self._parts))
         return table
 
     def submatrix(self, table: np.ndarray, key: object) -> np.ndarray:

@@ -20,13 +20,14 @@ Evaluation scores the honest models in blocks of bounded size, and
 per-client evaluation reads the shards in place. So after round 0 no
 phase allocates another (n, d) array, or a row per attacker, or a copy
 of the honest shards.
-The thread pool runs sketching, the pair table and settlement; while it
-does (threads > 1) numpy's OpenBLAS is held at one thread, so no idle
-BLAS worker spins on a core the pool needs. Phases are bulk-synchronous:
-each reads only the frozen snapshot from the previous phase, every
-random draw comes from a stream keyed on (seed, round, node), and
-reductions run in node-id order, so results are byte-identical whatever
-the thread budget.
+A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
+open throughout, and sketching, the pair table and settlement all run
+through its map; while it is open numpy's OpenBLAS is held at one
+thread, so no idle BLAS worker spins on a core the pool needs. Phases
+are bulk-synchronous: each reads only the frozen snapshot from the
+previous phase, every random draw comes from a stream keyed on (seed,
+round, node), and reductions run in node-id order, so results are
+byte-identical whatever the thread budget.
 """
 from __future__ import annotations
 
@@ -213,13 +214,6 @@ def account_communication(kind: str, n_neighbors: int, n_accepted: int, d: int, 
     return d * n_neighbors
 
 
-def _pmap(fn: Callable[[int], object], n: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 @cache
 def _blas_threads_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) of the thread count of the OpenBLAS numpy links, or None
@@ -248,13 +242,13 @@ _blas_saved = 0  # the count before the first of them
 
 
 @contextmanager
-def _one_blas_thread(threads: int) -> Iterator[None]:
-    """Holds OpenBLAS at one thread while a pooled run (threads > 1) is in
-    progress, so its idle workers do not spin on the pool's cores; the
-    count is process-wide, so the first run in saves it and the last one
-    out restores it. Output bits do not depend on the BLAS thread count."""
+def _one_blas_thread() -> Iterator[None]:
+    """Holds OpenBLAS at one thread while a pooled run is in progress, so
+    its idle workers do not spin on the pool's cores; the count is
+    process-wide, so the first run in saves it and the last one out
+    restores it. Output bits do not depend on the BLAS thread count."""
     global _blas_depth, _blas_saved
-    api = _blas_threads_api() if threads > 1 else None
+    api = _blas_threads_api()
     if api is None:
         yield
         return
@@ -271,6 +265,19 @@ def _one_blas_thread(threads: int) -> Iterator[None]:
             _blas_depth -= 1
             if _blas_depth == 0:
                 set_(_blas_saved)
+
+
+@contextmanager
+def _run_pool(workers: int) -> Iterator[Callable]:
+    """The run's map: the builtin map for one worker, else the map of one
+    executor of that many workers, open for the whole run with OpenBLAS
+    held at one thread. The executor's workers are joined before the
+    BLAS count is restored, whether the run returns or raises."""
+    if workers == 1:
+        yield map
+        return
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def _resolve_sketch_params(config: SimConfig, dim: int) -> SketchParams:
@@ -312,11 +319,13 @@ def run_simulation(
     threads > 1 the run holds numpy's OpenBLAS at one thread and restores
     its count on exit, whether the run returns or raises.
     """
-    with _one_blas_thread(config.threads):
-        return _simulate(config, run_id, data)
+    workers = min(config.threads, config.n_nodes)
+    with _run_pool(workers) as pmap:
+        return _simulate(config, run_id, data, pmap, workers)
 
 
-def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None) -> RunResult:
+def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
+              pmap: Callable, workers: int) -> RunResult:
     kind = config.aggregator.kind
     agg = config.aggregator
     if data is None:
@@ -362,7 +371,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None)
         pairs = PairTable({
             i: [own[i], *graph.neighbors[i]]
             for i in range(config.n_nodes) if star or graph.degree(i) >= 2
-        }, star=star)
+        }, star=star, parts=workers)
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
@@ -385,11 +394,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None)
         transmit = list(trained)
         verified = [True] * config.n_nodes
         if sketching:
-            own_sketch = _pmap(
-                lambda i: compute_sketch(params, trained[i]),
-                config.n_nodes,
-                config.threads,
-            )
+            own_sketch = list(pmap(lambda v: compute_sketch(params, v), trained))
             tx_sketch = list(own_sketch)
         if attacking:
             # ctx.previous views the honest round-start rows, which
@@ -415,7 +420,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None)
         if screening:
             vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if sketching
                        else [*transmit, *trained])
-            sq = pairs.compute(vectors, config.threads)
+            sq = pairs.compute(vectors, pmap)
 
         def settle(i: int) -> tuple[list[int], bool]:
             """Writes node i's new model into mixed[i], or, for an attacker
@@ -451,7 +456,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None)
                 dest[...] = trained[i]
             return screened.accepted, screened.fallback_used
 
-        accepted, fallback = zip(*_pmap(settle, config.n_nodes, config.threads))
+        accepted, fallback = zip(*pmap(settle, range(config.n_nodes)))
         if attacking:
             for j in byz:  # row by row: mixed[byz] = trained[byz] gathers a copy first
                 mixed[j] = trained[j]

@@ -1,5 +1,6 @@
 """Screening rules, mixing, and the krum selector."""
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -377,7 +378,8 @@ def test_pair_table_batches_bitwise_and_holds_only_needed_pairs(monkeypatch):
     assert table.n_pairs == len(needed)
     flat = table.compute(vectors)
     assert flat.shape == (len(needed) + 1,) and flat[-1] == 0.0
-    assert table.compute(vectors, threads=2).tobytes() == flat.tobytes()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert PairTable(pools, parts=2).compute(vectors, pool.map).tobytes() == flat.tobytes()
     for key, ids in pools.items():
         want = _broadcast_sq(np.stack([vectors[v] for v in ids]))
         assert table.submatrix(flat, key).tobytes() == want.tobytes()

@@ -17,7 +17,7 @@ import pytest
 import sketchdfl.aggregation as aggregation
 import sketchdfl.engine as engine
 import sketchdfl.sketch as sketch
-from sketchdfl.aggregation import AggregatorSpec, PairTable
+from sketchdfl.aggregation import AGGREGATOR_KINDS, AggregatorSpec, PairTable
 from sketchdfl.attacks import AttackSpec
 from sketchdfl.config import parse_config
 from sketchdfl.engine import (
@@ -156,8 +156,8 @@ def test_nested_and_concurrent_pooled_runs_save_and_restore_blas_count_once(monk
 
     def runs(_):
         for _ in range(200):
-            with engine._one_blas_thread(2):
-                with engine._one_blas_thread(4):
+            with engine._one_blas_thread():
+                with engine._one_blas_thread():
                     held.append(count[0])
                 held.append(count[0])
 
@@ -174,22 +174,100 @@ def test_nested_and_concurrent_pooled_runs_save_and_restore_blas_count_once(monk
     assert count == [3]
 
 
-def test_shuffled_node_processing_order_is_invisible(monkeypatch):
-    # barrier semantics: per-phase results may be computed in any order
-    reference = run_simulation(tiny_config())
+class _SerialExecutor:
+    """A serial stand-in for engine.ThreadPoolExecutor that starts no
+    thread. Each one built is logged with its max_workers, the item count
+    of each map call and the fake BLAS count when it exits; `shuffle`,
+    when set, is a random.Random that runs each map's items in a shuffled
+    order."""
 
-    def scrambled_pmap(fn, n, threads):
-        order = list(range(n))
-        random.Random(99).shuffle(order)
-        out = [None] * n
-        for i in order:
-            out[i] = fn(i)
-        return out
+    log: list = []
+    blas = [3]
+    shuffle: random.Random | None = None
 
-    monkeypatch.setattr(engine, "_pmap", scrambled_pmap)
-    shuffled = run_simulation(tiny_config())
-    assert csv_bytes(reference) == csv_bytes(shuffled)
-    np.testing.assert_array_equal(reference.final_models, shuffled.final_models)
+    def __init__(self, max_workers):
+        self.max_workers, self.maps, self.blas_at_exit = max_workers, [], None
+        self.log.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.blas_at_exit = self.blas[0]
+
+    def map(self, fn, items):
+        items = list(items)
+        self.maps.append(len(items))
+        order = list(range(len(items)))
+        if self.shuffle is not None:
+            self.shuffle.shuffle(order)
+        out = [None] * len(items)
+        for k in order:
+            out[k] = fn(items[k])
+        return iter(out)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Puts _SerialExecutor in engine's thread pool and a fake BLAS count
+    of 3 behind the BLAS guard; returns the executor class."""
+    monkeypatch.setattr(_SerialExecutor, "log", [])
+    monkeypatch.setattr(_SerialExecutor, "blas", [3])
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _SerialExecutor)
+    blas = _SerialExecutor.blas
+    monkeypatch.setattr(engine, "_blas_threads_api",
+                        lambda: (lambda: blas[0], lambda k: blas.__setitem__(0, k)))
+    return _SerialExecutor
+
+
+_POOLED_PHASES = {"sketchfilter": 3, "balance": 2, "dfedavg": 1, "krum": 2}
+
+
+def _attacked_config(kind, **overrides):
+    return tiny_config(aggregator=AggregatorSpec(kind=kind, sketch_size=8), byz_fraction=0.3,
+                       attack=AttackSpec(kind="gaussian", consistent_sketch=False), **overrides)
+
+
+def test_shuffled_node_processing_order_is_invisible(serial_pool, monkeypatch):
+    # barrier semantics: every pooled phase (sketching, the pair table's 3
+    # parts, settlement) may run its items in any order
+    monkeypatch.setattr(serial_pool, "shuffle", random.Random(99))
+    for kind in AGGREGATOR_KINDS:
+        cfg = _attacked_config(kind)
+        reference = run_simulation(cfg)
+        shuffled = run_simulation(replace(cfg, threads=3))
+        assert csv_bytes(reference) == csv_bytes(shuffled), kind
+        assert reference.final_models.tobytes() == shuffled.final_models.tobytes(), kind
+    assert 3 in serial_pool.log[-1].maps  # the last run's pair table
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
+def test_pooled_run_builds_one_executor_and_joins_it_before_restoring_blas(serial_pool):
+    for kind in AGGREGATOR_KINDS:
+        cfg = _attacked_config(kind, threads=3)
+        serial_pool.log.clear()
+        run_simulation(cfg)
+        [pool] = serial_pool.log
+        assert pool.max_workers == 3
+        assert len(pool.maps) == cfg.rounds * _POOLED_PHASES[kind], kind
+        assert pool.blas_at_exit == 1 and serial_pool.blas == [3]
+        run_simulation(replace(cfg, threads=1))
+        assert len(serial_pool.log) == 1
+    serial_pool.log.clear()
+    with pytest.raises(NumericalDivergenceError):
+        run_simulation(tiny_config(threads=3, lr=1e200))
+    [pool] = serial_pool.log
+    assert pool.blas_at_exit == 1 and serial_pool.blas == [3]
+
+
+def test_thread_budget_is_bounded_by_the_node_count(serial_pool):
+    # the fake starts no thread, so an absurd budget is safe to ask for
+    for kind in AGGREGATOR_KINDS:
+        serial_pool.log.clear()
+        run_simulation(_attacked_config(kind, n_nodes=20, threads=10**6))
+        [pool] = serial_pool.log
+        assert pool.max_workers == 20
+        assert pool.maps and max(pool.maps) <= 20, kind
 
 
 def test_node_streams_are_keyed_not_ordered():
@@ -426,13 +504,13 @@ def _measured_pairs(monkeypatch, kind, attack, threads):
     rounds: list[list] = []
 
     class RecordingTable(PairTable):
-        def compute(self, vectors, threads=1):
+        def compute(self, vectors, pmap=map):
             log: list = []
             rounds.append(log)
             tagged = [w.view(_Tagged) for w in vectors]
             for v, w in enumerate(tagged):
                 w.tag, w.log = v, log
-            return super().compute(tagged, threads)
+            return super().compute(tagged, pmap)
 
     kernel = aggregation._sq_distances
 
@@ -500,8 +578,8 @@ def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkey
     n_pairs: list[int] = []
 
     class RecordingTable(PairTable):
-        def __init__(self, pools, star=False):
-            super().__init__(pools, star)
+        def __init__(self, pools, star=False, parts=1):
+            super().__init__(pools, star, parts)
             n_pairs.append(self.n_pairs)
 
     monkeypatch.setattr(engine, "PairTable", RecordingTable)
