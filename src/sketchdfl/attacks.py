@@ -38,11 +38,12 @@ class AttackSpec:
 @dataclass
 class AttackContext:
     """Round-level collusion state shared by all attackers: the honest
-    models in node-id order. Only directed-deviation reads the statistics,
-    so each is computed on first read, once a round."""
+    trained models in node-id order, and what `round_start_mean` gave for
+    the same nodes before training. Only directed-deviation reads the
+    statistics, so each is computed on first read, once a round."""
 
-    trained: list[np.ndarray]   # honest post-training models
-    previous: list[np.ndarray]  # the same nodes' models at round start
+    trained: list[np.ndarray]       # honest post-training models
+    start_mean: np.ndarray | None   # their mean at round start, if the attack reads it
 
     @cached_property
     def honest_mean(self) -> np.ndarray:
@@ -51,7 +52,14 @@ class AttackContext:
     @cached_property
     def honest_direction(self) -> np.ndarray:
         """honest_mean minus the honest mean at round start."""
-        return self.honest_mean - _mean(self.previous)
+        return self.honest_mean - self.start_mean
+
+
+def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndarray | None:
+    """The honest models' mean at round start, for the attacks that read
+    it (directed-deviation), else None without reading a row. Training
+    overwrites the rows, so the engine calls this before it trains."""
+    return _mean(honest_rows) if spec.kind == "directed-deviation" else None
 
 
 def _mean(rows: list[np.ndarray]) -> np.ndarray:

@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default="results/run")
     run_p.add_argument("--run-id", default=None)
-    run_p.add_argument("--threads", type=int, default=None, help="override [run] threads")
 
     sweep_p = sub.add_parser("sweep", help="byzantine-fraction sweep with seed replicates")
     sweep_p.add_argument("--config", required=True)
@@ -101,10 +100,6 @@ def _out_dir(path: str) -> Path:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    if args.threads is not None:
-        from dataclasses import replace
-
-        config = replace(config, threads=args.threads)
     out = _out_dir(args.out)
     result = run_simulation(config, run_id=args.run_id)
     run_id = result.manifest["run_id"]

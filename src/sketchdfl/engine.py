@@ -9,17 +9,15 @@ depending on the aggregator) and mixes the accepted models that passed
 the check. Screening distances are measured once per distinct pair per
 round, in one table shared by every receiver (from either end a pair has
 the same bits); the modelled screen_ops still bill each receiver for its
-own. A run holds two (n, d) model stacks in fixed roles: lockstep
-training always writes the spare, and the round-start stack (a fresh
-one in round 0, whose start is a read-only broadcast) takes the new
-models. Each attacker writes its transmission into its own round-start
-row, which no one else reads once training is done. Honest nodes settle
-into their round-start rows; each attacker settles into its trained
-row, which only it reads, and that row is copied back after settlement.
-Evaluation scores the honest models in blocks of bounded size, and
-per-client evaluation reads the shards in place. So after round 0 no
-phase allocates another (n, d) array, or a row per attacker, or a copy
-of the honest shards.
+own. A run holds two (n, d) model stacks, both allocated before round 0,
+as a double buffer: lockstep training trains the round-start stack in
+place, and settlement writes the other one, which then starts the next
+round. Each attacker writes its transmission into its own row of the
+stack settlement writes, and settles into its trained row, which only
+it reads; that row is copied back after settlement. Evaluation scores
+the honest models in blocks of bounded size, and per-client evaluation
+reads the shards in place. So no phase allocates another (n, d) array,
+or a row per attacker, or a copy of the honest shards.
 A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
 open throughout, and sketching, the pair table and settlement all run
 through its map; while it is open numpy's OpenBLAS is held at one
@@ -54,7 +52,7 @@ from .aggregation import (
     sketch_filter,
     gamma_eff,
 )
-from .attacks import AttackContext, AttackSpec, apply_attack, attacker_message
+from .attacks import AttackContext, AttackSpec, apply_attack, attacker_message, round_start_mean
 from .errors import ConfigurationError
 from .io import CSV_COLUMNS
 from .learning import (
@@ -351,9 +349,9 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
     sketching = kind in SKETCH_KINDS
     params = _resolve_sketch_params(config, task.dim) if sketching else None
 
-    init = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
-    models = np.broadcast_to(init, (config.n_nodes, task.dim))  # (n, d), one row per node
-    spare = np.empty((config.n_nodes, task.dim))
+    models = np.empty((config.n_nodes, task.dim))  # (n, d), one row per node
+    models[...] = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
+    spare = np.empty_like(models)
     attacking = bool(byz) and config.attack.kind != "none"
 
     screening = kind != "dfedavg"
@@ -375,14 +373,14 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
+        if attacking:  # read before training overwrites the round-start rows
+            start_mean = round_start_mean(config.attack, [models[i] for i in honest])
         trained = local_update(
             task, models, data.features, data.labels,
             config.lr, config.local_epochs, config.batch_size,
             [node_stream(config.seeds.training, t, i, tag=1) for i in range(config.n_nodes)],
-            out=spare,
         )
-
-        mixed = models if t else np.empty_like(trained)  # round 0: read-only init broadcast
+        mixed = spare
 
         # Phase 2: what each node puts on the wire. Every receiver gets the
         # same (model, sketch) pair from a sender, so whether j's model
@@ -397,10 +395,9 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             own_sketch = list(pmap(lambda v: compute_sketch(params, v), trained))
             tx_sketch = list(own_sketch)
         if attacking:
-            # ctx.previous views the honest round-start rows, which
-            # settlement overwrites; each attacker transmits from its own
-            # round-start row, which no one else reads
-            ctx = AttackContext([trained[i] for i in honest], [models[i] for i in honest])
+            # each attacker transmits from its own row of mixed, which
+            # settlement writes only once every receiver has read it
+            ctx = AttackContext([trained[i] for i in honest], start_mean)
             for j in byz:
                 transmit[j] = apply_attack(
                     config.attack, trained[j], ctx,
@@ -415,7 +412,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                         verified[j] = verify_model_against_sketch(
                             params, transmit[j], tx_sketch[j], agg.rel_tol
                         )
-            del ctx  # directed-deviation's honest statistics
+            del ctx, start_mean  # directed-deviation's honest statistics
 
         if screening:
             vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if sketching
@@ -460,7 +457,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         if attacking:
             for j in byz:  # row by row: mixed[byz] = trained[byz] gathers a copy first
                 mixed[j] = trained[j]
-        models = mixed
+        models, spare = mixed, trained
 
         # modelled costs are per receiver: each node pays for its own fetches
         # and checks, whichever sender they reach

@@ -422,7 +422,6 @@ def local_update(
     epochs: int,
     batch_size: int,
     rngs: list[np.random.Generator],
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minibatch SGD for n clients in lockstep. Row i of the (n, dim)
     `models` stack trains on client i's shard, `features[i]` and
@@ -431,24 +430,16 @@ def local_update(
     makes one `task.grad` call for the whole stack and moves only the
     active coordinates, whose padding gradient is exactly zero.
 
-    Training happens in a copy and never mutates `models`: the copy is
-    written into `out`, an (n, dim) float64 stack that shares no memory
-    with `models`, and `out` is returned, so a caller can reuse one spare
-    stack every round. Without `out` the copy is a new stack. lr=0 returns
-    an identical copy."""
+    `models`, a writable float64 stack, is trained in place and returned;
+    a caller that needs the untrained models passes a copy. lr=0 leaves
+    every value as it was."""
     if lr < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if out is None:
-        out = np.empty(np.shape(models))
-    if np.shares_memory(out, models):
-        raise ConfigurationError("out must not share memory with models")
-    np.copyto(out, models)
-    w = out
-    active = w[:, : task.active_dim]
+    active = models[:, : task.active_dim]
     n, m = labels.shape
     rows = np.arange(n)[:, None]
     step = min(batch_size, m)
@@ -456,16 +447,16 @@ def local_update(
         order = np.stack([rng.permutation(m) for rng in rngs])
         for start in range(0, m, step):
             idx = order[:, start : start + step]
-            g = task.grad(w, features[rows, idx], labels[rows, idx])
+            g = task.grad(models, features[rows, idx], labels[rows, idx])
             g *= lr  # in place, the bits of `active -= lr * g`
             active -= g
-    for i, row in enumerate(w):
+    for i, row in enumerate(models):
         if not np.isfinite(row).all():
             raise NumericalDivergenceError(
                 f"client {i} produced non-finite coordinates "
                 f"(lr={lr}, epochs={epochs})"
             )
-    return w
+    return models
 
 
 EVAL_BLOCK_BYTES = 4 << 20

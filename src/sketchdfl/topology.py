@@ -104,7 +104,8 @@ def honest_subgraph_connected(graph: Graph, byzantine: set[int] | list[int]) -> 
 
     Zero or one honest node counts as connected.
     """
-    honest = [i for i in range(graph.n) if i not in set(byzantine)]
+    byzantine = set(byzantine)
+    honest = [i for i in range(graph.n) if i not in byzantine]
     return _connected(graph.neighbors, honest)
 
 

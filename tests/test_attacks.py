@@ -6,7 +6,13 @@ import pytest
 
 import sketchdfl.engine as engine
 from sketchdfl.aggregation import AggregatorSpec
-from sketchdfl.attacks import AttackContext, AttackSpec, apply_attack, attacker_message
+from sketchdfl.attacks import (
+    AttackContext,
+    AttackSpec,
+    apply_attack,
+    attacker_message,
+    round_start_mean,
+)
 from sketchdfl.engine import SimConfig, run_simulation
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.learning import TaskSpec
@@ -19,9 +25,15 @@ def honest_models(rng, m, dim):
     return [rng.normal(size=dim) * 10.0 ** rng.uniform(-8, 8, size=dim) for _ in range(m)]
 
 
-def ctx(dim=20, m=4, cls=AttackContext):
+def honest_rows(dim, m):
+    """(trained, round-start) rows of m honest nodes."""
     rng = np.random.default_rng(0)
-    return cls(honest_models(rng, m, dim), honest_models(rng, m, dim))
+    return honest_models(rng, m, dim), honest_models(rng, m, dim)
+
+
+def ctx(dim=20, m=4, cls=AttackContext):
+    trained, start = honest_rows(dim, m)
+    return cls(trained, round_start_mean(AttackSpec(kind="directed-deviation"), start))
 
 
 class Sealed(AttackContext):
@@ -72,7 +84,7 @@ def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
                          ids=["gaussian-1.0", "gaussian-0.3", "directed-deviation"])
 def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
     # the engine writes each attacker's transmission into its row of the
-    # round-start stack
+    # stack that settlement writes
     rng = np.random.default_rng(9)
     w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
     before = w.copy()
@@ -115,14 +127,34 @@ def test_directed_deviation_formula_and_collusion():
 
 @pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280), (12, 20_000)])
 def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
-    c = ctx(dim, m)
+    trained, start = honest_rows(dim, m)
     spec = AttackSpec(kind="directed-deviation", lam=0.3)
+    c = AttackContext(trained, round_start_mean(spec, start))
     out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0))
-    mean_now = np.stack(c.trained).mean(axis=0)
-    direction = mean_now - np.stack(c.previous).mean(axis=0)
+    mean_now = np.stack(trained).mean(axis=0)
+    direction = mean_now - np.stack(start).mean(axis=0)
     want = mean_now - 0.3 * np.sign(direction)
     assert out.tobytes() == want.tobytes()
     assert c.honest_mean is c.honest_mean  # computed once, then shared by all attackers
+
+
+class Unreadable(list):
+    """Rows that must never be read."""
+
+    def __iter__(self):
+        raise AssertionError("round-start rows were read")
+
+    def __getitem__(self, index):
+        raise AssertionError("round-start rows were read")
+
+
+@pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280)])
+def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
+    _, start = honest_rows(dim, m)
+    for kind in ("none", "gaussian"):
+        assert round_start_mean(AttackSpec(kind=kind), Unreadable(start)) is None
+    got = round_start_mean(AttackSpec(kind="directed-deviation"), start)
+    assert got.tobytes() == np.stack(start).mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["none", "gaussian"])

@@ -80,11 +80,14 @@ def test_run_id_flag_overrides_default(tmp_path):
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):
-    cfg = tiny_file(tmp_path)
-    out1, out8 = tmp_path / "r1", tmp_path / "r8"
-    main(["run", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-    main(["run", "--config", str(cfg), "--out", str(out8), "--threads", "8"])
-    assert (out1 / "metrics.csv").read_bytes() == (out8 / "metrics.csv").read_bytes()
+    # [run] threads, the one way to set the thread budget
+    for threads in (1, 8):
+        cfg = tiny_file(tmp_path, f"threads = {threads}\n")
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / f"r{threads}")])
+        manifest = json.loads((tmp_path / f"r{threads}" / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == threads
+    one, eight = (tmp_path / f"r{threads}" / "metrics.csv" for threads in (1, 8))
+    assert one.read_bytes() == eight.read_bytes()
 
 
 def test_manifest_does_not_depend_on_working_directory(tmp_path, monkeypatch):

@@ -844,6 +844,49 @@ def test_run_holds_two_model_stacks(kind):
         assert peaks[2] <= peaks[0] + d * 8, attack
 
 
+@pytest.mark.parametrize("attack", ["gaussian", "directed-deviation"])
+def test_training_alternates_between_two_stacks_allocated_before_round_0(monkeypatch, attack):
+    # local_update trains the stack it is given in place; the two stacks,
+    # both allocated before round 0's training, swap roles every round
+    n, d, rounds = 8, 20_000, 4
+    stack_bytes = n * d * 8
+    data = generate_federated_data(TaskSpec(kind="logistic", dim=d), n, Seeds().data)
+    given, held = [], []
+    engine_local_update = engine.local_update
+
+    def recording(task, models, *args, **kwargs):
+        given.append(models)
+        held.append(tracemalloc.get_traced_memory()[0])
+        trained = engine_local_update(task, models, *args, **kwargs)
+        assert trained is models
+        return trained
+
+    monkeypatch.setattr(engine, "local_update", recording)
+    for kind in AGGREGATOR_KINDS:
+        cfg = SimConfig(
+            task=data.spec,
+            topology=TopologySpec(kind="k-regular", degree=4),
+            aggregator=AggregatorSpec(kind=kind),
+            attack=AttackSpec(kind=attack),
+            n_nodes=n,
+            byz_fraction=0.25,
+            rounds=rounds,
+        )
+        given.clear()
+        held.clear()
+        tracemalloc.start()
+        try:
+            result = run_simulation(cfg, data=data)
+        finally:
+            tracemalloc.stop()
+        first, second = given[:2]
+        assert first is not second and not np.shares_memory(first, second), kind
+        assert all(models is (first, second)[t % 2] for t, models in enumerate(given)), kind
+        assert all(s.shape == (n, d) and s.flags.c_contiguous for s in (first, second)), kind
+        assert result.final_models is (first, second)[rounds % 2], kind
+        assert held[0] >= 2 * stack_bytes, kind  # the spare exists before round 0 trains
+
+
 def test_per_client_eval_reads_shards_in_place():
     # scoring each honest node on its own shard reads the shard stack in
     # place: a gathered copy of the honest shards, held for the whole run,

@@ -145,7 +145,8 @@ def test_local_update_matches_per_node_loop_bytewise(kind, schedule):
     def rngs():
         return [np.random.default_rng([11, i]) for i in range(N_CLIENTS)]
 
-    got = local_update(task, models, data.features, data.labels, lr, epochs, batch_size, rngs())
+    got = local_update(task, models.copy(), data.features, data.labels, lr, epochs, batch_size,
+                       rngs())
     want = np.stack([
         ref_local_update(task, models[i], data.features[i], data.labels[i],
                          lr, epochs, batch_size, rng)

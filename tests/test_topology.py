@@ -185,6 +185,25 @@ def test_honest_subgraph_connectivity():
     assert honest_subgraph_connected(g, {0, 1, 2, 3, 4})  # none left
 
 
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_honest_subgraph_connectivity_reads_the_byzantine_list_once():
+    g = build_topology(TopologySpec(kind="k-regular", degree=4), 40, seed=1)
+    byz = list(range(0, 40, 3))
+    want = honest_subgraph_connected(g, set(byz))
+    counted = CountingList(byz)
+    assert honest_subgraph_connected(g, counted) == want
+    assert counted.iterations == 1
+
+
 def test_byzantine_sampling_counts_and_determinism():
     assert sample_byzantine_nodes(20, 0.0, seed=1) == []
     assert len(sample_byzantine_nodes(20, 0.3, seed=1)) == 6
