@@ -7,7 +7,6 @@ compromised node is therefore indistinguishable from an honest one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,24 +34,15 @@ class AttackSpec:
             raise ConfigurationError(f"deviation scale must be > 0, got {self.lam}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackContext:
-    """Round-level collusion state shared by all attackers: the honest
-    trained models in node-id order, and what `round_start_mean` gave for
-    the same nodes before training. Only directed-deviation reads the
-    statistics, so each is computed on first read, once a round."""
+    """Round-level collusion state shared by all attackers, built by
+    `attack_context` before any attacker reads it, so attackers running on
+    several threads only read it. Only directed-deviation reads the
+    statistics; for every other attack both are None."""
 
-    trained: list[np.ndarray]       # honest post-training models
-    start_mean: np.ndarray | None   # their mean at round start, if the attack reads it
-
-    @cached_property
-    def honest_mean(self) -> np.ndarray:
-        return _mean(self.trained)
-
-    @cached_property
-    def honest_direction(self) -> np.ndarray:
-        """honest_mean minus the honest mean at round start."""
-        return self.honest_mean - self.start_mean
+    honest_mean: np.ndarray | None = None       # of the honest trained models
+    honest_direction: np.ndarray | None = None  # honest_mean minus the round-start mean
 
 
 def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndarray | None:
@@ -60,6 +50,18 @@ def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndar
     it (directed-deviation), else None without reading a row. Training
     overwrites the rows, so the engine calls this before it trains."""
     return _mean(honest_rows) if spec.kind == "directed-deviation" else None
+
+
+def attack_context(spec: AttackSpec, honest_trained: list[np.ndarray],
+                   start_mean: np.ndarray | None) -> AttackContext:
+    """The round's collusion state from the honest trained models in
+    node-id order and what `round_start_mean` gave for the same nodes:
+    computed once for directed-deviation, and without reading a row for
+    every other attack."""
+    if spec.kind != "directed-deviation":
+        return AttackContext()
+    mean = _mean(honest_trained)
+    return AttackContext(mean, mean - start_mean)
 
 
 def _mean(rows: list[np.ndarray]) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Round-based protocol orchestration, metrics, and complexity accounting.
 
-One round has four phases: every node trains locally, compromised nodes
-substitute their transmissions, each attacker's model is checked once
-against the sketch it advertised (an honest sender's pair matches by
-construction; the modelled agg_ops still bill every receiver's check),
-then every node screens its neighbors (on sketches or full models
+One round has four phases: every node trains locally, then in one attack
+phase each compromised node substitutes its transmission and its model is
+checked once against the sketch it advertised (an honest sender's pair
+matches by construction; the modelled agg_ops still bill every receiver's
+check), then every node screens its neighbors (on sketches or full models
 depending on the aggregator) and mixes the accepted models that passed
 the check. Screening distances are measured once per distinct pair per
 round, in one table shared by every receiver (from either end a pair has
@@ -19,10 +19,12 @@ the honest models in blocks of bounded size, and per-client evaluation
 reads the shards in place. So no phase allocates another (n, d) array,
 or a row per attacker, or a copy of the honest shards.
 A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
-open throughout, and sketching, the pair table and settlement all run
-through its map; while it is open numpy's OpenBLAS is held at one
-thread, so no idle BLAS worker spins on a core the pool needs. Phases
-are bulk-synchronous: each reads only the frozen snapshot from the
+open throughout, and sketching, the attack phase (one item per attacker,
+after the round's collusion statistics are taken), the pair table and
+settlement all run through its map; the hash family is built before it
+first maps. While it is open numpy's OpenBLAS is held at one thread, so
+no idle BLAS worker spins on a core the pool needs. Phases are
+bulk-synchronous: each reads only the frozen snapshot from the
 previous phase, every random draw comes from a stream keyed on (seed,
 round, node), and reductions run in node-id order, so results are
 byte-identical whatever the thread budget.
@@ -40,7 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sketch
 from .aggregation import (
     SKETCH_KINDS,
     AggregatorSpec,
@@ -52,7 +54,7 @@ from .aggregation import (
     sketch_filter,
     gamma_eff,
 )
-from .attacks import AttackContext, AttackSpec, apply_attack, attacker_message, round_start_mean
+from .attacks import AttackSpec, apply_attack, attack_context, attacker_message, round_start_mean
 from .errors import ConfigurationError
 from .io import CSV_COLUMNS
 from .learning import (
@@ -65,6 +67,7 @@ from .learning import (
 )
 from .sketch import (
     DISTORTION_COEFF,
+    Sketch,
     SketchParams,
     combine64,
     compute_sketch,
@@ -347,7 +350,10 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         )
 
     sketching = kind in SKETCH_KINDS
-    params = _resolve_sketch_params(config, task.dim) if sketching else None
+    params = None
+    if sketching:  # built here, not once by each pool worker that misses the cache
+        params = _resolve_sketch_params(config, task.dim)
+        sketch.hash_tables(params)
 
     models = np.empty((config.n_nodes, task.dim))  # (n, d), one row per node
     models[...] = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
@@ -395,23 +401,30 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             own_sketch = list(pmap(lambda v: compute_sketch(params, v), trained))
             tx_sketch = list(own_sketch)
         if attacking:
-            # each attacker transmits from its own row of mixed, which
-            # settlement writes only once every receiver has read it
-            ctx = AttackContext([trained[i] for i in honest], start_mean)
-            for j in byz:
-                transmit[j] = apply_attack(
+            ctx = attack_context(config.attack, [trained[i] for i in honest], start_mean)
+
+            def attack(j: int) -> tuple[np.ndarray, Sketch | None, bool]:
+                """Attacker j's transmission, written into its own row of
+                mixed, which settlement writes only once every receiver has
+                read it; under a sketch protocol also the sketch it
+                advertises and whether the pair passes the sender check."""
+                sent = apply_attack(
                     config.attack, trained[j], ctx,
                     node_stream(config.seeds.attack, t, j, tag=2),
                     out=mixed[j],
                 )
+                if not sketching:
+                    return sent, None, True
+                message = attacker_message(config.attack, params, sent, own_sketch[j])
+                passed = not config.verification or verify_model_against_sketch(
+                    params, sent, message, agg.rel_tol
+                )
+                return sent, message, passed
+
+            for j, (sent, message, passed) in zip(byz, pmap(attack, byz)):
+                transmit[j], verified[j] = sent, passed
                 if sketching:
-                    tx_sketch[j] = attacker_message(
-                        config.attack, params, transmit[j], own_sketch[j]
-                    )
-                    if config.verification:
-                        verified[j] = verify_model_against_sketch(
-                            params, transmit[j], tx_sketch[j], agg.rel_tol
-                        )
+                    tx_sketch[j] = message
             del ctx, start_mean  # directed-deviation's honest statistics
 
         if screening:

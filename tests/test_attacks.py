@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sketchdfl.attacks as attacks
 import sketchdfl.engine as engine
 from sketchdfl.aggregation import AggregatorSpec
 from sketchdfl.attacks import (
     AttackContext,
     AttackSpec,
     apply_attack,
+    attack_context,
     attacker_message,
     round_start_mean,
 )
@@ -31,13 +33,17 @@ def honest_rows(dim, m):
     return honest_models(rng, m, dim), honest_models(rng, m, dim)
 
 
-def ctx(dim=20, m=4, cls=AttackContext):
+def ctx(dim=20, m=4):
+    spec = AttackSpec(kind="directed-deviation")
     trained, start = honest_rows(dim, m)
-    return cls(trained, round_start_mean(AttackSpec(kind="directed-deviation"), start))
+    return attack_context(spec, trained, round_start_mean(spec, start))
 
 
 class Sealed(AttackContext):
     """A context whose collusion statistics must never be read."""
+
+    def __init__(self):
+        pass
 
     @property
     def honest_mean(self):
@@ -129,13 +135,14 @@ def test_directed_deviation_formula_and_collusion():
 def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
     trained, start = honest_rows(dim, m)
     spec = AttackSpec(kind="directed-deviation", lam=0.3)
-    c = AttackContext(trained, round_start_mean(spec, start))
+    c = attack_context(spec, trained, round_start_mean(spec, start))
     out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0))
     mean_now = np.stack(trained).mean(axis=0)
     direction = mean_now - np.stack(start).mean(axis=0)
     want = mean_now - 0.3 * np.sign(direction)
     assert out.tobytes() == want.tobytes()
-    assert c.honest_mean is c.honest_mean  # computed once, then shared by all attackers
+    assert c.honest_mean.tobytes() == mean_now.tobytes()
+    assert c.honest_direction.tobytes() == direction.tobytes()
 
 
 class Unreadable(list):
@@ -150,9 +157,11 @@ class Unreadable(list):
 
 @pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280)])
 def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
-    _, start = honest_rows(dim, m)
+    trained, start = honest_rows(dim, m)
     for kind in ("none", "gaussian"):
         assert round_start_mean(AttackSpec(kind=kind), Unreadable(start)) is None
+        c = attack_context(AttackSpec(kind=kind), Unreadable(trained), None)
+        assert c.honest_mean is None and c.honest_direction is None
     got = round_start_mean(AttackSpec(kind="directed-deviation"), start)
     assert got.tobytes() == np.stack(start).mean(axis=0).tobytes()
 
@@ -160,11 +169,25 @@ def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
 @pytest.mark.parametrize("kind", ["none", "gaussian"])
 def test_independent_attacks_never_read_collusion_state(kind):
     w = np.arange(20.0)
-    apply_attack(AttackSpec(kind=kind), w, ctx(cls=Sealed), np.random.default_rng(0))
+    apply_attack(AttackSpec(kind=kind), w, Sealed(), np.random.default_rng(0))
 
 
 def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
-    monkeypatch.setattr(engine, "AttackContext", Sealed)
+    # one round-start mean and one trained mean a round, both taken before
+    # any attacker runs, however many threads run the attackers
+    events = []
+    mean, attack = attacks._mean, engine.apply_attack
+
+    def counted(rows):
+        events.append(("mean", len(rows)))
+        return mean(rows)
+
+    def attacked(*args, **kwargs):
+        events.append("attack")
+        return attack(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "_mean", counted)
+    monkeypatch.setattr(engine, "apply_attack", attacked)
     config = SimConfig(
         task=TaskSpec(kind="quadratic", features=8, samples_per_client=16, test_samples=16),
         topology=TopologySpec(kind="full"),
@@ -176,9 +199,15 @@ def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
         local_epochs=1,
         batch_size=8,
     )
-    run_simulation(config)
-    with pytest.raises(AssertionError, match="honest_mean was read"):
-        run_simulation(replace(config, attack=AttackSpec(kind="directed-deviation")))
+    for threads in (1, 2):
+        events.clear()
+        run_simulation(replace(config, threads=threads))
+        assert events == ["attack", "attack"] * config.rounds
+        events.clear()
+        run_simulation(replace(config, threads=threads,
+                               attack=AttackSpec(kind="directed-deviation")))
+        # 3 honest and 2 Byzantine nodes
+        assert events == [("mean", 3), ("mean", 3), "attack", "attack"] * config.rounds
 
 
 def test_attack_spec_validation():

@@ -75,14 +75,17 @@ def test_identical_configs_give_identical_runs():
 @pytest.mark.parametrize("threads", [2, 8])
 def test_thread_budget_does_not_change_output(threads):
     # every aggregator, with attackers advertising stale sketches, so each
-    # screening path's threaded pair table is checked byte for byte
-    for kind in ("sketchfilter", "balance", "dfedavg", "krum"):
-        cfg = tiny_config(aggregator=AggregatorSpec(kind=kind, sketch_size=8), byz_fraction=0.3,
-                          attack=AttackSpec(kind="gaussian", consistent_sketch=False))
-        serial = run_simulation(cfg)
-        pooled = run_simulation(replace(cfg, threads=threads))
-        assert csv_bytes(serial) == csv_bytes(pooled), kind
-        assert serial.final_models.tobytes() == pooled.final_models.tobytes(), kind
+    # screening path's threaded pair table is checked byte for byte, and
+    # with colluding attackers, which share one round's honest statistics
+    for attack in (AttackSpec(kind="gaussian", consistent_sketch=False),
+                   AttackSpec(kind="directed-deviation", lam=0.5)):
+        for kind in ("sketchfilter", "balance", "dfedavg", "krum"):
+            cfg = tiny_config(aggregator=AggregatorSpec(kind=kind, sketch_size=8),
+                              byz_fraction=0.3, attack=attack)
+            serial = run_simulation(cfg)
+            pooled = run_simulation(replace(cfg, threads=threads))
+            assert csv_bytes(serial) == csv_bytes(pooled), (kind, attack.kind)
+            assert serial.final_models.tobytes() == pooled.final_models.tobytes(), kind
 
 
 # ---------------------------------------------------------------- BLAS budget
@@ -177,9 +180,9 @@ def test_nested_and_concurrent_pooled_runs_save_and_restore_blas_count_once(monk
 class _SerialExecutor:
     """A serial stand-in for engine.ThreadPoolExecutor that starts no
     thread. Each one built is logged with its max_workers, the item count
-    of each map call and the fake BLAS count when it exits; `shuffle`,
-    when set, is a random.Random that runs each map's items in a shuffled
-    order."""
+    of each map call, the name of each mapped function with its items, and
+    the fake BLAS count when it exits; `shuffle`, when set, is a
+    random.Random that runs each map's items in a shuffled order."""
 
     log: list = []
     blas = [3]
@@ -187,6 +190,7 @@ class _SerialExecutor:
 
     def __init__(self, max_workers):
         self.max_workers, self.maps, self.blas_at_exit = max_workers, [], None
+        self.calls: list[tuple[str, list]] = []
         self.log.append(self)
 
     def __enter__(self):
@@ -198,6 +202,7 @@ class _SerialExecutor:
     def map(self, fn, items):
         items = list(items)
         self.maps.append(len(items))
+        self.calls.append((fn.__name__, items))
         order = list(range(len(items)))
         if self.shuffle is not None:
             self.shuffle.shuffle(order)
@@ -220,24 +225,32 @@ def serial_pool(monkeypatch):
     return _SerialExecutor
 
 
-_POOLED_PHASES = {"sketchfilter": 3, "balance": 2, "dfedavg": 1, "krum": 2}
+# maps a round of an attacking run makes: sketching (sketch aggregators),
+# the attack phase, the pair table (screening aggregators) and settlement
+_POOLED_PHASES = {"sketchfilter": 4, "balance": 3, "dfedavg": 2, "krum": 3}
 
 
-def _attacked_config(kind, **overrides):
-    return tiny_config(aggregator=AggregatorSpec(kind=kind, sketch_size=8), byz_fraction=0.3,
-                       attack=AttackSpec(kind="gaussian", consistent_sketch=False), **overrides)
+def _attacked_config(kind, attack=AttackSpec(kind="gaussian", consistent_sketch=False),
+                     **overrides):
+    return tiny_config(**{"aggregator": AggregatorSpec(kind=kind, sketch_size=8),
+                          "byz_fraction": 0.3, "attack": attack, **overrides})
 
 
 def test_shuffled_node_processing_order_is_invisible(serial_pool, monkeypatch):
-    # barrier semantics: every pooled phase (sketching, the pair table's 3
-    # parts, settlement) may run its items in any order
+    # barrier semantics: every pooled phase (sketching, the attack phase,
+    # the pair table's 3 parts, settlement) may run its items in any order;
+    # attackers advertising stale sketches, colluding on one round's honest
+    # statistics, and recomputing the sketch of what they send
     monkeypatch.setattr(serial_pool, "shuffle", random.Random(99))
-    for kind in AGGREGATOR_KINDS:
-        cfg = _attacked_config(kind)
-        reference = run_simulation(cfg)
-        shuffled = run_simulation(replace(cfg, threads=3))
-        assert csv_bytes(reference) == csv_bytes(shuffled), kind
-        assert reference.final_models.tobytes() == shuffled.final_models.tobytes(), kind
+    for attack in (AttackSpec(kind="gaussian", consistent_sketch=False),
+                   AttackSpec(kind="directed-deviation", lam=0.5),
+                   AttackSpec(kind="gaussian", consistent_sketch=True)):
+        for kind in AGGREGATOR_KINDS:
+            cfg = _attacked_config(kind, attack)
+            reference = run_simulation(cfg)
+            shuffled = run_simulation(replace(cfg, threads=3))
+            assert csv_bytes(reference) == csv_bytes(shuffled), (kind, attack)
+            assert reference.final_models.tobytes() == shuffled.final_models.tobytes(), kind
     assert 3 in serial_pool.log[-1].maps  # the last run's pair table
 
 
@@ -250,6 +263,9 @@ def test_pooled_run_builds_one_executor_and_joins_it_before_restoring_blas(seria
         [pool] = serial_pool.log
         assert pool.max_workers == 3
         assert len(pool.maps) == cfg.rounds * _POOLED_PHASES[kind], kind
+        byz = sample_byzantine_nodes(cfg.n_nodes, cfg.byz_fraction, cfg.seeds.byzantine)
+        assert byz and [items for name, items in pool.calls if name == "attack"] == (
+            [byz] * cfg.rounds), kind
         assert pool.blas_at_exit == 1 and serial_pool.blas == [3]
         run_simulation(replace(cfg, threads=1))
         assert len(serial_pool.log) == 1
@@ -258,6 +274,34 @@ def test_pooled_run_builds_one_executor_and_joins_it_before_restoring_blas(seria
         run_simulation(tiny_config(threads=3, lr=1e200))
     [pool] = serial_pool.log
     assert pool.blas_at_exit == 1 and serial_pool.blas == [3]
+
+
+def test_runs_without_an_attack_map_no_attack_phase(serial_pool):
+    for kind in AGGREGATOR_KINDS:
+        for cfg in (_attacked_config(kind, AttackSpec(kind="none"), threads=3),
+                    _attacked_config(kind, byz_fraction=0.0, threads=3)):
+            serial_pool.log.clear()
+            run_simulation(cfg)
+            [pool] = serial_pool.log
+            assert len(pool.maps) == cfg.rounds * (_POOLED_PHASES[kind] - 1), kind
+            assert "attack" not in {name for name, _ in pool.calls}, kind
+
+
+def test_pooled_run_builds_its_hash_family_before_the_first_map(serial_pool, monkeypatch):
+    # on a cold cache, a family first needed inside the pool's sketching
+    # phase is built by every worker that misses it
+    misses = []
+    serial_map = serial_pool.map
+
+    def probed(self, fn, items):
+        misses.append(sketch.hash_tables.cache_info().misses)
+        return serial_map(self, fn, items)
+
+    monkeypatch.setattr(serial_pool, "map", probed)
+    sketch.hash_tables.cache_clear()
+    run_simulation(_attacked_config("sketchfilter", threads=3))
+    assert misses[0] == 1
+    assert sketch.hash_tables.cache_info().misses == 1
 
 
 def test_thread_budget_is_bounded_by_the_node_count(serial_pool):
