@@ -1,9 +1,9 @@
-"""Neighbor screening rules and robust aggregation.
+"""Neighbor screening and robust aggregation.
 
-Four aggregators share one calling convention: a time-decaying
-distance filter run on full models (balance) or on sketches
-(sketchfilter), coordinate-free averaging (dfedavg), and nearest-cluster
-selection (krum).
+Four aggregators share one calling convention: a time-decaying distance
+filter, balance_filter, run on full models (balance) or, behind
+sketch_filter's hash-family check, on sketch values (sketchfilter);
+coordinate-free averaging (dfedavg); and nearest-cluster selection (krum).
 """
 from __future__ import annotations
 
@@ -79,25 +79,6 @@ def gamma_eff(gamma: float, eps: float) -> float:
     return gamma * math.sqrt((1 + eps) / (1 - eps))
 
 
-def _screen(self_vector: np.ndarray, neighbor_vectors: Mapping[int, np.ndarray],
-            gamma: float, kappa: float, t: int, rounds: int,
-            sq: np.ndarray | None = None) -> FilterOutcome:
-    """The screening rule, on models or sketch values alike: accept every
-    neighbour within the adaptive threshold of the node's own vector; if
-    none is, fall back to the single closest (lowest id on ties). `sq`,
-    when given, holds the squared distances to the neighbours in mapping
-    order, as a star PairTable's row gives them; else it is computed here."""
-    threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_vector))
-    if sq is None:
-        sq = _sq_distances(self_vector, list(neighbor_vectors.values()))
-    distances = dict(zip(neighbor_vectors, map(math.sqrt, sq.tolist())))
-    accepted = sorted(j for j, d in distances.items() if d <= threshold)
-    if accepted or not distances:
-        return FilterOutcome(accepted, False, threshold, distances)
-    best = min(sorted(distances), key=distances.__getitem__)
-    return FilterOutcome([best], True, threshold, distances)
-
-
 def balance_filter(
     self_model: np.ndarray,
     neighbor_models: Mapping[int, np.ndarray],
@@ -107,8 +88,21 @@ def balance_filter(
     rounds: int,
     sq: np.ndarray | None = None,
 ) -> FilterOutcome:
-    """Full-precision distance screening against the node's own model."""
-    return _screen(self_model, neighbor_models, gamma, kappa, t, rounds, sq)
+    """The screening rule, on full models or sketch values alike: accept
+    every neighbour within the adaptive threshold of the node's own
+    vector; if none is, fall back to the single closest (lowest id on
+    ties). `sq`, when given, holds the squared distances to the neighbours
+    in mapping order, as a star PairTable's row gives them; else it is
+    computed here."""
+    threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model))
+    if sq is None:
+        sq = _sq_distances(self_model, list(neighbor_models.values()))
+    distances = dict(zip(neighbor_models, map(math.sqrt, sq.tolist())))
+    accepted = sorted(j for j, d in distances.items() if d <= threshold)
+    if accepted or not distances:
+        return FilterOutcome(accepted, False, threshold, distances)
+    best = min(sorted(distances), key=distances.__getitem__)
+    return FilterOutcome([best], True, threshold, distances)
 
 
 def sketch_filter(
@@ -120,14 +114,14 @@ def sketch_filter(
     rounds: int,
     sq: np.ndarray | None = None,
 ) -> FilterOutcome:
-    """balance_filter's rule run on sketch values, once every sketch is
-    known to come from the node's own hash family."""
+    """balance_filter run on sketch values, once every sketch is known to
+    come from the node's own hash family."""
     if any(s.fingerprint != self_sketch.fingerprint for s in neighbor_sketches.values()):
         raise ProtocolError(
             "sketch fingerprints differ; sketches come from different hash families"
         )
     values = {j: s.values for j, s in neighbor_sketches.items()}
-    return _screen(self_sketch.values, values, gamma, kappa, t, rounds, sq)
+    return balance_filter(self_sketch.values, values, gamma, kappa, t, rounds, sq)
 
 
 def aggregate_mixed(

@@ -118,8 +118,9 @@ def attacker_message(
     sketch protocol.
 
     consistent_sketch sends the true sketch of the corrupted model, which
-    beats verification and must be caught by distance screening instead;
-    otherwise the attacker advertises own_sketch, the sketch of its
+    matches it by construction, as an honest sender's pair does, so only
+    distance screening can catch it (the engine runs no sender check on
+    it); otherwise the attacker advertises own_sketch, the sketch of its
     innocent-looking pre-attack model, and relies on stale trust.
     """
     if spec.consistent_sketch:

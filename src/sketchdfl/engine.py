@@ -1,23 +1,24 @@
 """Round-based protocol orchestration, metrics, and complexity accounting.
 
 One round has four phases: every node trains locally, then in one attack
-phase each compromised node substitutes its transmission and its model is
-checked once against the sketch it advertised (an honest sender's pair
-matches by construction; the modelled agg_ops still bill every receiver's
-check), then every node screens its neighbors (on sketches or full models
-depending on the aggregator) and mixes the accepted models that passed
-the check. Screening distances are measured once per distinct pair per
-round, in one table shared by every receiver (from either end a pair has
-the same bits); the modelled screen_ops still bill each receiver for its
-own. A run holds two (n, d) model stacks, both allocated before round 0,
-as a double buffer: lockstep training trains the round-start stack in
-place, and settlement writes the other one, which then starts the next
-round. Each attacker writes its transmission into its own row of the
-stack settlement writes, and settles into its trained row, which only
-it reads; that row is copied back after settlement. Evaluation scores
-the honest models in blocks of bounded size, and per-client evaluation
-reads the shards in place. So no phase allocates another (n, d) array,
-or a row per attacker, or a copy of the honest shards.
+phase each compromised node substitutes its transmission, then every node
+screens its neighbors with one rule (on sketches or full models depending
+on the aggregator) and mixes the accepted models that passed the sender
+check. That check runs once a round, and only where a pair can mismatch,
+on an attacker advertising a stale sketch: an honest sender's pair, and a
+consistent attacker's, match by construction (the modelled agg_ops still
+bill every receiver's check). Screening distances are measured once per
+distinct pair per round, in one table shared by every receiver (from
+either end a pair has the same bits); the modelled screen_ops still bill
+each receiver for its own. A run holds two (n, d) model stacks, both
+allocated before round 0, as a double buffer: lockstep training trains the
+round-start stack in place, and settlement writes the other one, which
+then starts the next round. Each attacker writes its transmission into its
+own row of the stack settlement writes, and settles into its trained row,
+which only it reads; that row is copied back after settlement. Evaluation
+scores the honest models in blocks of bounded size, and per-client
+evaluation reads the shards in place. So no phase allocates another (n, d)
+array, or a row per attacker, or a copy of the honest shards.
 A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
 open throughout, and sketching, the attack phase (one item per attacker,
 after the round's collusion statistics are taken), the pair table and
@@ -393,8 +394,9 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         # matches its advertised sketch is one answer per sender and round;
         # an attack that sent each receiver a different message would need
         # this check per edge again. An honest pair matches by construction
-        # (the recompute is bit-identical, a gap of exactly 0), so only
-        # attackers' pairs are checked.
+        # (the recompute is bit-identical, a gap of exactly 0), and so does
+        # a consistent attacker's, whose sketch is folded from the bits it
+        # sent; only an attacker advertising a stale sketch is checked.
         transmit = list(trained)
         verified = [True] * config.n_nodes
         if sketching:
@@ -407,7 +409,8 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                 """Attacker j's transmission, written into its own row of
                 mixed, which settlement writes only once every receiver has
                 read it; under a sketch protocol also the sketch it
-                advertises and whether the pair passes the sender check."""
+                advertises and whether the pair passes the sender check,
+                which runs only on a stale sketch."""
                 sent = apply_attack(
                     config.attack, trained[j], ctx,
                     node_stream(config.seeds.attack, t, j, tag=2),
@@ -416,9 +419,8 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                 if not sketching:
                     return sent, None, True
                 message = attacker_message(config.attack, params, sent, own_sketch[j])
-                passed = not config.verification or verify_model_against_sketch(
-                    params, sent, message, agg.rel_tol
-                )
+                passed = (not config.verification or config.attack.consistent_sketch
+                          or verify_model_against_sketch(params, sent, message, agg.rel_tol))
                 return sent, message, passed
 
             for j, (sent, message, passed) in zip(byz, pmap(attack, byz)):
@@ -450,16 +452,10 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                                                sq=pairs.submatrix(sq, i))
                 dest[...] = pool[chosen]
                 return [] if chosen == 0 else [nbrs[chosen - 1]], False
-            if sketching:
-                screened = sketch_filter(
-                    own_sketch[i], {j: tx_sketch[j] for j in nbrs},
-                    agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i),
-                )
-            else:
-                screened = balance_filter(
-                    trained[i], {j: transmit[j] for j in nbrs},
-                    agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i),
-                )
+            screen, mine, sent = ((sketch_filter, own_sketch[i], tx_sketch) if sketching
+                                  else (balance_filter, trained[i], transmit))
+            screened = screen(mine, {j: sent[j] for j in nbrs},
+                              agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i))
             if chosen := {j: transmit[j] for j in screened.accepted if verified[j]}:
                 aggregate_mixed(trained[i], chosen, agg.alpha, out=dest)
             else:

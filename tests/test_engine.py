@@ -426,7 +426,7 @@ def test_account_communication_validation():
         account_communication("balance", -1, -1, 10, 2)
 
 
-def test_verification_rejects_mismatched_sketches_but_still_bills_upload(monkeypatch):
+def test_verification_rejects_mismatched_sketches_but_still_bills_upload():
     # inconsistent attackers pass screening, get fetched (paid for), then fail
     n, d, k = 6, 8, 8
     cfg = tiny_config(
@@ -434,30 +434,8 @@ def test_verification_rejects_mismatched_sketches_but_still_bills_upload(monkeyp
         attack=AttackSpec(kind="gaussian", sigma=3.0, consistent_sketch=False),
         aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=k, gamma=1e9),
     )
-    calls = folds = 0
-    verify = engine.verify_model_against_sketch
-    fold = sketch.fold_with_tables
-
-    def counting_verify(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return verify(*args, **kwargs)
-
-    def counting_fold(*args, **kwargs):
-        nonlocal folds
-        folds += 1
-        return fold(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "verify_model_against_sketch", counting_verify)
-    monkeypatch.setattr(sketch, "fold_with_tables", counting_fold)
     res = run_simulation(cfg)
-    byz = len(res.manifest["byzantine_nodes"])
-    assert byz == 1
-    # only attackers' pairs are checked, once a round each: an honest pair
-    # matches by construction, and no pair is checked per edge
-    assert calls == byz * cfg.rounds
-    # each model is sketched once; the only recompute is the attacker's check
-    assert folds == (n + byz) * cfg.rounds
+    assert len(res.manifest["byzantine_nodes"]) == 1
     honest_count = n - 1
     for m in res.metrics:
         # every honest node screens the attacker in (sketch looks honest)...
@@ -483,6 +461,49 @@ def test_consistent_attacker_survives_verification():
     for m in res.metrics:
         assert m.verify_fail == 0
         assert m.byz_accept_frac == 1.0  # tiny offsets sail through at gamma=1e9
+
+
+@pytest.mark.parametrize("consistent", [False, True])
+def test_each_model_is_folded_once_and_only_stale_sketches_are_checked(
+    monkeypatch, consistent
+):
+    # a stale sketch is checked once a round, and no pair per edge; a
+    # consistent attacker advertises the fold of what it sends, so like an
+    # honest pair it matches by construction and is never checked. Either
+    # way a round folds every model once, plus each attacker's message or check.
+    n = 10
+    cfg = tiny_config(
+        n_nodes=n,
+        byz_fraction=0.3,
+        rounds=2,
+        attack=AttackSpec(kind="gaussian", sigma=3.0, consistent_sketch=consistent),
+        aggregator=AggregatorSpec(kind="sketchfilter", sketch_size=8, gamma=1e9),
+    )
+    calls = folds = 0
+    verify = engine.verify_model_against_sketch
+    fold = sketch.fold_with_tables
+
+    def counting_verify(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return verify(*args, **kwargs)
+
+    def counting_fold(*args, **kwargs):
+        nonlocal folds
+        folds += 1
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "verify_model_against_sketch", counting_verify)
+    monkeypatch.setattr(sketch, "fold_with_tables", counting_fold)
+    res = run_simulation(cfg)
+    byz = len(res.manifest["byzantine_nodes"])
+    assert byz == 3
+    assert folds == (n + byz) * cfg.rounds
+    assert calls == (0 if consistent else byz * cfg.rounds)
+    # every honest node screens every attacker in at gamma=1e9, and only a
+    # stale pair fails the check, at every receiver
+    for m in res.metrics:
+        assert m.verify_fail == (0 if consistent else (n - byz) * byz)
 
 
 # ------------------------------------------------------------- krum paths
@@ -614,6 +635,43 @@ def test_filters_measure_each_edge_once_a_round(monkeypatch, kind, attack, threa
     for m in res.metrics:
         assert m.screen_ops_mean == np.mean([
             screening_ops(kind, d, k, graph.degree(i)) for i in honest])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_settlement_screens_through_one_engine_filter_per_node_and_round(
+    monkeypatch, kind, threads
+):
+    # the tracer times the filters under the names settlement looks up in
+    # the engine; sketch values reach the rule only through sketch_filter's
+    # fingerprint check, which calls aggregation's balance_filter, not the
+    # engine's, so a traced balance span comes only from a balance run
+    calls: list[str] = []  # list.append is atomic, so pool threads may share it
+
+    def count(module, name: str, label: str) -> None:
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(engine, "sketch_filter", "engine.sketch_filter")
+    count(engine, "balance_filter", "engine.balance_filter")
+    count(aggregation, "balance_filter", "aggregation.balance_filter")
+    cfg = tiny_config(
+        aggregator=AggregatorSpec(kind=kind, sketch_size=8),
+        byz_fraction=0.2,
+        attack=AttackSpec(kind="gaussian"),
+        threads=threads,
+    )
+    run_simulation(cfg)
+    per_run = cfg.n_nodes * cfg.rounds
+    sketching, balance = kind == "sketchfilter", kind == "balance"
+    assert calls.count("engine.sketch_filter") == (per_run if sketching else 0)
+    assert calls.count("engine.balance_filter") == (per_run if balance else 0)
+    assert calls.count("aggregation.balance_filter") == (per_run if sketching else 0)
 
 
 def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkeypatch):
