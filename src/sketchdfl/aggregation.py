@@ -91,9 +91,9 @@ def balance_filter(
     """The screening rule, on full models or sketch values alike: accept
     every neighbour within the adaptive threshold of the node's own
     vector; if none is, fall back to the single closest (lowest id on
-    ties). `sq`, when given, holds the squared distances to the neighbours
-    in mapping order, as a star PairTable's row gives them; else it is
-    computed here."""
+    ties, a NaN distance after every number). `sq`, when given, holds the
+    squared distances to the neighbours in mapping order, as a star
+    PairTable's row gives them; else it is computed here."""
     threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model))
     if sq is None:
         sq = _sq_distances(self_model, list(neighbor_models.values()))
@@ -101,7 +101,7 @@ def balance_filter(
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
     if accepted or not distances:
         return FilterOutcome(accepted, False, threshold, distances)
-    best = min(sorted(distances), key=distances.__getitem__)
+    best = min(sorted(distances), key=lambda j: (math.isnan(distances[j]), distances[j]))
     return FilterOutcome([best], True, threshold, distances)
 
 
@@ -241,9 +241,10 @@ def krum_select_index(
     models: Sequence[np.ndarray], f: int, sq: np.ndarray | None = None
 ) -> int:
     """Index of the model whose summed squared distance to its n-f-2
-    nearest peers is smallest (first index on ties). `sq`, when given, is
-    the models' (n, n) squared-distance matrix, as a PairTable submatrix
-    gives it; else it is computed here from a one-pool PairTable."""
+    nearest peers is smallest (first index on ties, a NaN score after
+    every number: a stable sort puts NaN last). `sq`, when given, is the
+    models' (n, n) squared-distance matrix, as a PairTable submatrix gives
+    it; else it is computed here from a one-pool PairTable."""
     n = len(models)
     if f < 0:
         raise ConfigurationError(f"f must be >= 0, got {f}")
@@ -254,7 +255,7 @@ def krum_select_index(
     if sq is None:
         pairs = PairTable({0: range(n)})
         sq = pairs.submatrix(pairs.compute(models), 0)
-    return int(np.argmin(_krum_scores(sq, n - f - 2)))
+    return int(np.argsort(_krum_scores(sq, n - f - 2), kind="stable")[0])
 
 
 def _krum_scores(sq: np.ndarray, keep: int) -> np.ndarray:

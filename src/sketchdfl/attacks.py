@@ -34,17 +34,6 @@ class AttackSpec:
             raise ConfigurationError(f"deviation scale must be > 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class AttackContext:
-    """Round-level collusion state shared by all attackers, built by
-    `attack_context` before any attacker reads it, so attackers running on
-    several threads only read it. Only directed-deviation reads the
-    statistics; for every other attack both are None."""
-
-    honest_mean: np.ndarray | None = None       # of the honest trained models
-    honest_direction: np.ndarray | None = None  # honest_mean minus the round-start mean
-
-
 def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndarray | None:
     """The honest models' mean at round start, for the attacks that read
     it (directed-deviation), else None without reading a row. Training
@@ -52,16 +41,21 @@ def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndar
     return _mean(honest_rows) if spec.kind == "directed-deviation" else None
 
 
-def attack_context(spec: AttackSpec, honest_trained: list[np.ndarray],
-                   start_mean: np.ndarray | None) -> AttackContext:
-    """The round's collusion state from the honest trained models in
-    node-id order and what `round_start_mean` gave for the same nodes:
-    computed once for directed-deviation, and without reading a row for
-    every other attack."""
+def colluding_vector(spec: AttackSpec, honest_trained: list[np.ndarray],
+                     start_mean: np.ndarray | None) -> np.ndarray | None:
+    """What every directed-deviation attacker sends this round: the honest
+    trained models' mean, in node-id order, minus lam times the sign of its
+    move from `start_mean`, what `round_start_mean` gave for the same
+    nodes. Built once a round and read-only, so attackers on several
+    threads only copy it; None without reading a row for any other attack."""
     if spec.kind != "directed-deviation":
-        return AttackContext()
+        return None
     mean = _mean(honest_trained)
-    return AttackContext(mean, mean - start_mean)
+    step = np.sign(mean - start_mean)
+    step *= spec.lam
+    mean -= step  # bitwise mean - lam * sign(mean - start_mean)
+    mean.flags.writeable = False
+    return mean
 
 
 def _mean(rows: list[np.ndarray]) -> np.ndarray:
@@ -76,15 +70,15 @@ def _mean(rows: list[np.ndarray]) -> np.ndarray:
 def apply_attack(
     spec: AttackSpec,
     honest_update: np.ndarray,
-    ctx: AttackContext,
+    colluding: np.ndarray | None,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Model an attacker transmits in place of its honest update.
 
-    gaussian: independent noise per attacker. directed-deviation: all
-    attackers collude on one vector pushing against the honest mean's
-    movement, so it ignores both the honest update and the rng.
+    gaussian: independent noise per attacker, never reading `colluding`.
+    directed-deviation: a copy of `colluding`, what `colluding_vector`
+    built this round, ignoring both the honest update and the rng.
 
     The transmission is written into `out` when given (a C-contiguous
     float64 vector that is not the honest update, and is returned), else
@@ -95,17 +89,14 @@ def apply_attack(
         return honest_update
     if out is None:
         out = np.empty_like(honest_update)
-    if spec.kind == "gaussian":
-        # bitwise honest_update + sigma * standard_normal(shape)
-        rng.standard_normal(out=out)
-        out *= spec.sigma
-        out += honest_update
+    if spec.kind == "directed-deviation":
+        np.copyto(out, colluding)
         return out
-    # bitwise honest_mean - lam * sign(honest_direction)
-    mean = ctx.honest_mean
-    np.sign(ctx.honest_direction, out=out)
-    out *= spec.lam
-    return np.subtract(mean, out, out=out)
+    # bitwise honest_update + sigma * standard_normal(shape)
+    rng.standard_normal(out=out)
+    out *= spec.sigma
+    out += honest_update
+    return out
 
 
 def attacker_message(

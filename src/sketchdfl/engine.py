@@ -21,10 +21,10 @@ evaluation reads the shards in place. So no phase allocates another (n, d)
 array, or a row per attacker, or a copy of the honest shards.
 A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
 open throughout, and sketching, the attack phase (one item per attacker,
-after the round's collusion statistics are taken), the pair table and
-settlement all run through its map; the hash family is built before it
-first maps. While it is open numpy's OpenBLAS is held at one thread, so
-no idle BLAS worker spins on a core the pool needs. Phases are
+after directed-deviation's colluding vector is built, read-only), the
+pair table and settlement all run through its map; the hash family is
+built before it first maps. While it is open numpy's OpenBLAS is held at
+one thread, so no idle BLAS worker spins on a core the pool needs. Phases are
 bulk-synchronous: each reads only the frozen snapshot from the
 previous phase, every random draw comes from a stream keyed on (seed,
 round, node), and reductions run in node-id order, so results are
@@ -55,7 +55,7 @@ from .aggregation import (
     sketch_filter,
     gamma_eff,
 )
-from .attacks import AttackSpec, apply_attack, attack_context, attacker_message, round_start_mean
+from .attacks import AttackSpec, apply_attack, attacker_message, colluding_vector, round_start_mean
 from .errors import ConfigurationError
 from .io import CSV_COLUMNS
 from .learning import (
@@ -403,7 +403,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             own_sketch = list(pmap(lambda v: compute_sketch(params, v), trained))
             tx_sketch = list(own_sketch)
         if attacking:
-            ctx = attack_context(config.attack, [trained[i] for i in honest], start_mean)
+            colluding = colluding_vector(config.attack, [trained[i] for i in honest], start_mean)
 
             def attack(j: int) -> tuple[np.ndarray, Sketch | None, bool]:
                 """Attacker j's transmission, written into its own row of
@@ -412,7 +412,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                 advertises and whether the pair passes the sender check,
                 which runs only on a stale sketch."""
                 sent = apply_attack(
-                    config.attack, trained[j], ctx,
+                    config.attack, trained[j], colluding,
                     node_stream(config.seeds.attack, t, j, tag=2),
                     out=mixed[j],
                 )
@@ -427,7 +427,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                 transmit[j], verified[j] = sent, passed
                 if sketching:
                     tx_sketch[j] = message
-            del ctx, start_mean  # directed-deviation's honest statistics
+            del colluding, start_mean  # directed-deviation's round state
 
         if screening:
             vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if sketching

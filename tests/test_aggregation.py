@@ -83,6 +83,26 @@ def test_filter_fallback_picks_nearest_lowest_id_on_tie():
     assert out2.fallback_used and out2.accepted == [1]  # equal distance: low id
 
 
+@pytest.mark.parametrize("screen", ["balance", "sketch"])
+def test_filter_fallback_never_picks_a_nan_distance(screen):
+    # a NaN is never "less than" anything, so min() over the ids would keep
+    # a NaN neighbour with the lowest id; NaN ranks after every number,
+    # inf included, and among NaN alone the lowest id wins
+    def fallback(neighbors):
+        me = np.zeros(4)  # norm 0: nobody clears the threshold
+        if screen == "sketch":  # the same vectors as sketch values
+            me, neighbors = Sketch(me, 0), {j: Sketch(v, 0) for j, v in neighbors.items()}
+        out = (balance_filter if screen == "balance" else sketch_filter)(
+            me, neighbors, gamma=0.1, kappa=0.0, t=0, rounds=1)
+        assert out.fallback_used
+        return out.accepted
+
+    nan, far, near = np.full(4, np.nan), np.full(4, 10.0), np.full(4, 5.0)
+    assert fallback({1: nan, 2: far, 3: near}) == [3]
+    assert fallback({1: nan, 2: np.full(4, np.inf)}) == [2]
+    assert fallback({7: nan, 4: nan, 9: nan}) == [4]
+
+
 def test_filter_empty_neighborhood_stays_empty():
     out = balance_filter(np.ones(3), {}, gamma=2.0, kappa=1.0, t=0, rounds=5)
     assert out.accepted == [] and not out.fallback_used
@@ -267,6 +287,22 @@ def test_krum_matches_bruteforce_reference():
         models = [rng.normal(size=6) for _ in range(rng.integers(4, 9))]
         f = int(rng.integers(0, len(models) - 2))
         assert krum_select_index(models, f) == reference(models, f)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 5])
+def test_krum_never_picks_a_nan_score(bad):
+    # argmin returns the first NaN; a NaN score ranks after every number,
+    # so an all-NaN model is passed over just as a far finite one is
+    rng = np.random.default_rng(bad)
+    models = [rng.normal(size=10) for _ in range(6)]
+    far = [m.copy() for m in models]
+    models[bad][:] = np.nan
+    far[bad][:] = 1e6
+    for f in range(4):
+        got = krum_select_index(models, f)
+        assert got != bad
+        assert got == krum_select_index(far, f)
+    assert krum_select_index([np.full(10, np.nan)] * 5, 1) == 0  # all NaN: first index
 
 
 def test_krum_pairwise_stage_matches_broadcast_bitwise():

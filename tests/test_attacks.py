@@ -8,11 +8,10 @@ import sketchdfl.attacks as attacks
 import sketchdfl.engine as engine
 from sketchdfl.aggregation import AggregatorSpec
 from sketchdfl.attacks import (
-    AttackContext,
     AttackSpec,
     apply_attack,
-    attack_context,
     attacker_message,
+    colluding_vector,
     round_start_mean,
 )
 from sketchdfl.engine import SimConfig, run_simulation
@@ -33,39 +32,35 @@ def honest_rows(dim, m):
     return honest_models(rng, m, dim), honest_models(rng, m, dim)
 
 
-def ctx(dim=20, m=4):
-    spec = AttackSpec(kind="directed-deviation")
+def colluding(dim=20, m=4, lam=2.0):
+    spec = AttackSpec(kind="directed-deviation", lam=lam)
     trained, start = honest_rows(dim, m)
-    return attack_context(spec, trained, round_start_mean(spec, start))
+    return colluding_vector(spec, trained, round_start_mean(spec, start))
 
 
-class Sealed(AttackContext):
-    """A context whose collusion statistics must never be read."""
+class Sealed:
+    """A colluding vector that must never be read: numpy reading it as
+    an array, or anything reading an attribute of it, raises."""
 
-    def __init__(self):
-        pass
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("colluding vector was read")
 
-    @property
-    def honest_mean(self):
-        raise AssertionError("honest_mean was read")
-
-    @property
-    def honest_direction(self):
-        raise AssertionError("honest_direction was read")
+    def __getattr__(self, name):
+        raise AssertionError(f"colluding vector's {name} was read")
 
 
 def test_none_attack_returns_input_unchanged():
     w = np.arange(8.0)
-    out = apply_attack(AttackSpec(kind="none"), w, ctx(8), np.random.default_rng(0))
+    out = apply_attack(AttackSpec(kind="none"), w, None, np.random.default_rng(0))
     np.testing.assert_array_equal(out, w)
 
 
 def test_gaussian_attack_adds_seeded_noise():
     w = np.zeros(500)
     spec = AttackSpec(kind="gaussian", sigma=2.0)
-    a = apply_attack(spec, w, ctx(500), np.random.default_rng(42))
-    b = apply_attack(spec, w, ctx(500), np.random.default_rng(42))
-    c = apply_attack(spec, w, ctx(500), np.random.default_rng(43))
+    a = apply_attack(spec, w, None, np.random.default_rng(42))
+    b = apply_attack(spec, w, None, np.random.default_rng(42))
+    c = apply_attack(spec, w, None, np.random.default_rng(43))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert abs(a.std() - 2.0) < 0.3
@@ -77,7 +72,7 @@ def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
     rng = np.random.default_rng(7)
     w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
     before = w.copy()
-    got = apply_attack(AttackSpec(kind="gaussian", sigma=sigma), w, ctx(5_000),
+    got = apply_attack(AttackSpec(kind="gaussian", sigma=sigma), w, None,
                        np.random.default_rng(8))
     want = w + sigma * np.random.default_rng(8).standard_normal(w.shape)
     assert got.tobytes() == want.tobytes()
@@ -94,7 +89,7 @@ def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
     rng = np.random.default_rng(9)
     w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
     before = w.copy()
-    c = ctx(5_000)
+    c = colluding(5_000, lam=spec.lam) if spec.kind == "directed-deviation" else None
     want = apply_attack(spec, w, c, np.random.default_rng(4))
     stack = np.full((3, 5_000), np.nan)
     got = apply_attack(spec, w, c, np.random.default_rng(4), out=stack[1])
@@ -106,7 +101,7 @@ def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
 
 def test_none_attack_writes_nothing_into_out():
     w, out = np.arange(8.0), np.full(8, np.nan)
-    assert apply_attack(AttackSpec(kind="none"), w, ctx(8), np.random.default_rng(0),
+    assert apply_attack(AttackSpec(kind="none"), w, None, np.random.default_rng(0),
                         out=out) is w
     assert np.isnan(out).all()
 
@@ -114,35 +109,39 @@ def test_none_attack_writes_nothing_into_out():
 def test_gaussian_attackers_are_independent():
     w = np.zeros(100)
     spec = AttackSpec(kind="gaussian", sigma=1.0)
-    one = apply_attack(spec, w, ctx(100), np.random.default_rng(1))
-    two = apply_attack(spec, w, ctx(100), np.random.default_rng(2))
+    one = apply_attack(spec, w, None, np.random.default_rng(1))
+    two = apply_attack(spec, w, None, np.random.default_rng(2))
     assert not np.array_equal(one, two)
 
 
 def test_directed_deviation_formula_and_collusion():
-    c = ctx(30)
+    trained, start = honest_rows(30, 4)
+    mean_now, mean_start = np.mean(trained, axis=0), np.mean(start, axis=0)
+    c = colluding(30, lam=2.5)
     spec = AttackSpec(kind="directed-deviation", lam=2.5)
     honest_a = np.random.default_rng(5).normal(size=30)
     honest_b = np.random.default_rng(6).normal(size=30)
     out_a = apply_attack(spec, honest_a, c, np.random.default_rng(1))
     out_b = apply_attack(spec, honest_b, c, np.random.default_rng(2))
-    want = c.honest_mean - 2.5 * np.sign(c.honest_direction)
+    want = mean_now - 2.5 * np.sign(mean_now - mean_start)
     np.testing.assert_array_equal(out_a, want)
     np.testing.assert_array_equal(out_a, out_b)  # colluding: same vector for all
+    assert not np.shares_memory(out_a, c)  # each attacker sends its own copy
 
 
 @pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280), (12, 20_000)])
 def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
     trained, start = honest_rows(dim, m)
     spec = AttackSpec(kind="directed-deviation", lam=0.3)
-    c = attack_context(spec, trained, round_start_mean(spec, start))
+    c = colluding_vector(spec, trained, round_start_mean(spec, start))
     out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0))
     mean_now = np.stack(trained).mean(axis=0)
     direction = mean_now - np.stack(start).mean(axis=0)
     want = mean_now - 0.3 * np.sign(direction)
+    assert c.tobytes() == want.tobytes()
     assert out.tobytes() == want.tobytes()
-    assert c.honest_mean.tobytes() == mean_now.tobytes()
-    assert c.honest_direction.tobytes() == direction.tobytes()
+    with pytest.raises(ValueError):  # read-only: attackers can only copy it
+        c[0] = 0.0
 
 
 class Unreadable(list):
@@ -160,8 +159,7 @@ def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
     trained, start = honest_rows(dim, m)
     for kind in ("none", "gaussian"):
         assert round_start_mean(AttackSpec(kind=kind), Unreadable(start)) is None
-        c = attack_context(AttackSpec(kind=kind), Unreadable(trained), None)
-        assert c.honest_mean is None and c.honest_direction is None
+        assert colluding_vector(AttackSpec(kind=kind), Unreadable(trained), None) is None
     got = round_start_mean(AttackSpec(kind="directed-deviation"), start)
     assert got.tobytes() == np.stack(start).mean(axis=0).tobytes()
 
@@ -173,20 +171,28 @@ def test_independent_attacks_never_read_collusion_state(kind):
 
 
 def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
-    # one round-start mean and one trained mean a round, both taken before
-    # any attacker runs, however many threads run the attackers
-    events = []
-    mean, attack = attacks._mean, engine.apply_attack
+    # one round-start mean, one trained mean and one read-only colluding
+    # vector a round, all taken before any attacker runs, and every
+    # attacker of the round handed that same vector, however many threads
+    # run the attackers; other attacks take no mean and are handed None
+    events, vectors = [], []
+    mean, build, attack = attacks._mean, engine.colluding_vector, engine.apply_attack
 
     def counted(rows):
         events.append(("mean", len(rows)))
         return mean(rows)
 
-    def attacked(*args, **kwargs):
-        events.append("attack")
-        return attack(*args, **kwargs)
+    def built(*args):
+        vectors.append(build(*args))
+        events.append("build")
+        return vectors[-1]
+
+    def attacked(spec, update, colluding, *args, **kwargs):
+        events.append(("attack", colluding is vectors[-1]))
+        return attack(spec, update, colluding, *args, **kwargs)
 
     monkeypatch.setattr(attacks, "_mean", counted)
+    monkeypatch.setattr(engine, "colluding_vector", built)
     monkeypatch.setattr(engine, "apply_attack", attacked)
     config = SimConfig(
         task=TaskSpec(kind="quadratic", features=8, samples_per_client=16, test_samples=16),
@@ -199,15 +205,19 @@ def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
         local_epochs=1,
         batch_size=8,
     )
+    attackers = [("attack", True)] * 2  # 3 honest and 2 Byzantine nodes
     for threads in (1, 2):
         events.clear()
+        vectors.clear()
         run_simulation(replace(config, threads=threads))
-        assert events == ["attack", "attack"] * config.rounds
+        assert events == ["build", *attackers] * config.rounds
+        assert vectors == [None] * config.rounds
         events.clear()
+        vectors.clear()
         run_simulation(replace(config, threads=threads,
                                attack=AttackSpec(kind="directed-deviation")))
-        # 3 honest and 2 Byzantine nodes
-        assert events == [("mean", 3), ("mean", 3), "attack", "attack"] * config.rounds
+        assert events == [("mean", 3), ("mean", 3), "build", *attackers] * config.rounds
+        assert not any(v.flags.writeable for v in vectors)
 
 
 def test_attack_spec_validation():

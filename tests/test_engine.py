@@ -1,6 +1,7 @@
 """Round orchestration: determinism, accounting, barriers, sweep."""
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -76,7 +77,7 @@ def test_identical_configs_give_identical_runs():
 def test_thread_budget_does_not_change_output(threads):
     # every aggregator, with attackers advertising stale sketches, so each
     # screening path's threaded pair table is checked byte for byte, and
-    # with colluding attackers, which share one round's honest statistics
+    # with colluding attackers, which copy one vector built once a round
     for attack in (AttackSpec(kind="gaussian", consistent_sketch=False),
                    AttackSpec(kind="directed-deviation", lam=0.5)):
         for kind in ("sketchfilter", "balance", "dfedavg", "krum"):
@@ -504,6 +505,43 @@ def test_each_model_is_folded_once_and_only_stale_sketches_are_checked(
     # stale pair fails the check, at every receiver
     for m in res.metrics:
         assert m.verify_fail == (0 if consistent else (n - byz) * byz)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow to +-inf
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["sketchfilter", "balance", "krum"])
+def test_screening_survives_transmissions_that_overflow(monkeypatch, kind, threads):
+    # sigma = 1e308 overflows the attackers' gaussian draws to +-inf, so a
+    # sketch bucket that sums +inf and -inf holds NaN; were a NaN distance
+    # ever a filter's fallback, an honest node would mix in an inf model and
+    # the run would stop on divergence
+    nan_seen = []
+    screen = engine.sketch_filter
+
+    def recorded(*args):
+        out = screen(*args)
+        nan_seen.append(any(math.isnan(d) for d in out.distances.values()))
+        return out
+
+    monkeypatch.setattr(engine, "sketch_filter", recorded)
+    cfg = SimConfig(
+        task=TaskSpec(kind="logistic", features=15, classes=4, samples_per_client=40,
+                      test_samples=200),
+        topology=TopologySpec(kind="k-regular", degree=4),
+        aggregator=AggregatorSpec(kind=kind, sketch_size=64, gamma=0.05),
+        attack=AttackSpec(kind="gaussian", sigma=1e308),
+        n_nodes=16,
+        byz_fraction=0.25,
+        rounds=3,
+        local_epochs=1,
+        lr=0.1,
+        batch_size=16,
+        threads=threads,
+    )
+    res = run_simulation(cfg)
+    assert all(m.byz_accept_frac == 0.0 for m in res.metrics)
+    assert np.isfinite(res.final_models).all()
+    assert any(nan_seen) == (kind == "sketchfilter")
 
 
 # ------------------------------------------------------------- krum paths
