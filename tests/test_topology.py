@@ -80,6 +80,33 @@ def test_erdos_renyi_pinned_digests(n, p, seed, edges, digest):
     assert g.digest() == digest
 
 
+@pytest.mark.parametrize(
+    "n,degree,seed,edges,digest",
+    [
+        (64, 16, 2, 512, "8c9fe84f21835c1d05ba6afa5710e9f62ded2a9be524b11e0bfd4d31e2be0559"),
+        (16, 4, 2, 32, "0aec308d46f0435ef977445c143fae8dc7989681efde04d901be8f050a5222ec"),
+        # above half density: the complement of a paired sparse graph
+        (20, 16, 3, 160, "aca69c679b3b77ae428ff1c666ca7acf4fc4a1ca2ba1d14d1cf8a10adf2f73a1"),
+        (35, 32, 3, 560, "8346a6441ec48f405542e8b07f393de194a0b4458c1796ac671a25c499b7e8c3"),
+    ],
+)
+def test_k_regular_pinned_digests(n, degree, seed, edges, digest):
+    g = build_topology(TopologySpec(kind="k-regular", degree=degree), n, seed)
+    assert len(g.edges()) == edges
+    assert g.digest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind,n,digest",
+    [
+        ("ring", 64, "f3101995b0c6e2ee3cf1c4ab3ebc8988b68061c4b267447eaca4f40762f279a6"),
+        ("full", 6, "10f8fabbdd44b6eb3554b8013d838563d26e22309e4b3e6deef9756fb5eed11a"),
+    ],
+)
+def test_fixed_kind_pinned_digests(kind, n, digest):
+    assert build_topology(TopologySpec(kind=kind), n).digest() == digest
+
+
 def _connected_probability(n_max, p):
     """Exact P(G(n, p) connected) for n = 1..n_max: one minus the chance
     that node 0's component has k < n nodes, summed over k."""
