@@ -90,8 +90,9 @@ def balance_filter(
 ) -> FilterOutcome:
     """The screening rule, on full models or sketch values alike: accept
     every neighbour within the adaptive threshold of the node's own
-    vector; if none is, fall back to the single closest (lowest id on
-    ties, a NaN distance after every number). `sq`, when given, holds the
+    vector; if none is, fall back to the single closest at a finite
+    distance (lowest id on ties), and with no finite distance accept
+    nobody, so the node keeps its own model. `sq`, when given, holds the
     squared distances to the neighbours in mapping order, as a star
     PairTable's row gives them; else it is computed here."""
     threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model))
@@ -99,10 +100,10 @@ def balance_filter(
         sq = _sq_distances(self_model, list(neighbor_models.values()))
     distances = dict(zip(neighbor_models, map(math.sqrt, sq.tolist())))
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
-    if accepted or not distances:
+    finite = sorted(j for j, d in distances.items() if math.isfinite(d))
+    if accepted or not finite:
         return FilterOutcome(accepted, False, threshold, distances)
-    best = min(sorted(distances), key=lambda j: (math.isnan(distances[j]), distances[j]))
-    return FilterOutcome([best], True, threshold, distances)
+    return FilterOutcome([min(finite, key=distances.__getitem__)], True, threshold, distances)
 
 
 def sketch_filter(

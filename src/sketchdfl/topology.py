@@ -13,11 +13,15 @@ n=7, p=0.1), so small graphs get many cheap draws while large infeasible
 ones still fail after MAX_ATTEMPTS. For n <= 40 and p >= 0.1 the budget
 runs out with probability below 1e-25, so GraphGenerationError (CLI exit
 3) is left to configurations that cannot be connected in practice.
+
+Every generator builds one symmetric (n, n) boolean adjacency matrix,
+which `_graph` turns into a Graph, and one frontier search `_connected`
+answers every connectivity question, on a whole matrix or on the
+submatrix of the honest nodes.
 """
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,33 +74,33 @@ class Graph:
         return hashlib.sha256(self.edge_list_text().encode()).hexdigest()
 
 
-def _from_edge_set(n: int, edges: set[tuple[int, int]]) -> Graph:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        if i == j:
-            continue
-        adj[i].add(j)
-        adj[j].add(i)
-    return Graph(n=n, neighbors=tuple(tuple(sorted(s)) for s in adj))
+def _graph(adj: np.ndarray) -> Graph:
+    """Graph of a symmetric boolean adjacency matrix with a false diagonal."""
+    return Graph(
+        n=len(adj), neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
+    )
 
 
-def _connected(adj: list[set[int]] | tuple[tuple[int, ...], ...], nodes: list[int]) -> bool:
-    if len(nodes) <= 1:
-        return True
-    allowed = set(nodes)
-    seen = {nodes[0]}
-    queue = deque([nodes[0]])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v in allowed and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(nodes)
+def _connected(adj: np.ndarray) -> bool:
+    """Frontier BFS from node 0; zero or one node counts as connected."""
+    seen = np.arange(len(adj)) == 0
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _adjacency(graph: Graph) -> np.ndarray:
+    """The inverse of `_graph`."""
+    adj = np.zeros((graph.n, graph.n), dtype=bool)
+    for i, nbrs in enumerate(graph.neighbors):
+        adj[i, list(nbrs)] = True
+    return adj
 
 
 def is_connected(graph: Graph) -> bool:
-    return _connected(graph.neighbors, list(range(graph.n)))
+    return _connected(_adjacency(graph))
 
 
 def honest_subgraph_connected(graph: Graph, byzantine: set[int] | list[int]) -> bool:
@@ -106,16 +110,16 @@ def honest_subgraph_connected(graph: Graph, byzantine: set[int] | list[int]) -> 
     """
     byzantine = set(byzantine)
     honest = [i for i in range(graph.n) if i not in byzantine]
-    return _connected(graph.neighbors, honest)
+    return _connected(_adjacency(graph)[np.ix_(honest, honest)])
 
 
-def _ring(n: int) -> Graph:
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    return _from_edge_set(n, {(min(a, b), max(a, b)) for a, b in edges})
+def _ring(n: int) -> np.ndarray:
+    succ = np.roll(np.eye(n, dtype=bool), 1, axis=1)  # i -> i + 1 mod n
+    return succ | succ.T
 
 
-def _full(n: int) -> Graph:
-    return _from_edge_set(n, {(i, j) for i in range(n) for j in range(i + 1, n)})
+def _full(n: int) -> np.ndarray:
+    return ~np.eye(n, dtype=bool)
 
 
 def erdos_renyi_attempts(n: int) -> int:
@@ -123,69 +127,52 @@ def erdos_renyi_attempts(n: int) -> int:
     return max(MAX_ATTEMPTS, -(-_ER_DRAW_BUDGET // (n * n)))
 
 
-def _adjacency_connected(adj: np.ndarray) -> bool:
-    """Frontier BFS from node 0 over a symmetric boolean adjacency matrix."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
-
-
-def _erdos_renyi(n: int, p: float, seed: int) -> Graph:
+def _erdos_renyi(n: int, p: float, seed: int) -> np.ndarray:
     attempts = erdos_renyi_attempts(n)
     for attempt in range(attempts):
         rng = np.random.Generator(np.random.PCG64(combine64(seed, attempt)))
         upper = np.triu(rng.random((n, n)) < p, k=1)
         adj = upper | upper.T
-        if _adjacency_connected(adj):
-            return Graph(
-                n=n, neighbors=tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
-            )
+        if _connected(adj):
+            return adj
     raise GraphGenerationError(
         f"no connected Erdos-Renyi graph (n={n}, p={p}) in {attempts} attempts"
     )
 
 
-def _stubs_can_be_wired(edges: set[tuple[int, int]], pending: dict[int, int]) -> bool:
+def _stubs_can_be_wired(adj: np.ndarray, pending: dict[int, int]) -> bool:
     """True when some pair of nodes with unpaired stubs is not yet joined."""
-    nodes = sorted(pending)
-    for a_pos, a in enumerate(nodes):
-        for b in nodes[a_pos + 1 :]:
-            if (a, b) not in edges:
-                return True
-    return not nodes
+    nodes = list(pending)
+    return not (adj[np.ix_(nodes, nodes)] | np.eye(len(nodes), dtype=bool)).all()
 
 
-def _pair_stubs(n: int, degree: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
+def _pair_stubs(n: int, degree: int, rng: np.random.Generator) -> np.ndarray | None:
     """Pairing-model draw with local repair: pair shuffled stubs, re-queue
     the ones that would form self-loops or duplicates, and give up (None)
     only when the leftovers cannot be wired at all."""
-    edges: set[tuple[int, int]] = set()
+    adj = np.zeros((n, n), dtype=bool)
     stubs = np.repeat(np.arange(n), degree)
     while len(stubs):
         pending: dict[int, int] = {}
         rng.shuffle(stubs)
         for a, b in stubs.reshape(-1, 2):
-            i, j = int(min(a, b)), int(max(a, b))
-            if i != j and (i, j) not in edges:
-                edges.add((i, j))
+            i, j = int(a), int(b)
+            if i != j and not adj[i, j]:
+                adj[i, j] = adj[j, i] = True
             else:
                 pending[i] = pending.get(i, 0) + 1
                 pending[j] = pending.get(j, 0) + 1
         if not pending:
-            return edges
-        if not _stubs_can_be_wired(edges, pending):
+            return adj
+        if not _stubs_can_be_wired(adj, pending):
             return None
         stubs = np.array(
             [node for node, count in sorted(pending.items()) for _ in range(count)]
         )
-    return edges
+    return adj
 
 
-def _k_regular(n: int, degree: int, seed: int) -> Graph:
+def _k_regular(n: int, degree: int, seed: int) -> np.ndarray:
     if degree >= n:
         raise ConfigurationError(f"degree {degree} must be below n={n}")
     if (n * degree) % 2 != 0:
@@ -198,19 +185,13 @@ def _k_regular(n: int, degree: int, seed: int) -> Graph:
     pair_degree = degree if 2 * degree <= n - 1 else n - 1 - degree
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.Generator(np.random.PCG64(combine64(seed, attempt)))
-        edges = _pair_stubs(n, pair_degree, rng)
-        if edges is None:
+        adj = _pair_stubs(n, pair_degree, rng)
+        if adj is None:
             continue
         if pair_degree != degree:
-            edges = {
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if (i, j) not in edges
-            }
-        graph = _from_edge_set(n, edges)
-        if is_connected(graph):
-            return graph
+            adj = ~adj & _full(n)
+        if _connected(adj):
+            return adj
     raise GraphGenerationError(
         f"no connected {degree}-regular graph on {n} nodes in {MAX_ATTEMPTS} attempts"
     )
@@ -220,12 +201,12 @@ def build_topology(spec: TopologySpec, n: int, seed: int = 0) -> Graph:
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
     if spec.kind == "ring":
-        return _ring(n)
+        return _graph(_ring(n))
     if spec.kind == "full":
-        return _full(n)
+        return _graph(_full(n))
     if spec.kind == "erdos-renyi":
-        return _erdos_renyi(n, spec.p, seed)
-    return _k_regular(n, spec.degree, seed)
+        return _graph(_erdos_renyi(n, spec.p, seed))
+    return _graph(_k_regular(n, spec.degree, seed))
 
 
 def sample_byzantine_nodes(n: int, fraction: float, seed: int) -> list[int]:

@@ -86,21 +86,22 @@ def test_filter_fallback_picks_nearest_lowest_id_on_tie():
 @pytest.mark.parametrize("screen", ["balance", "sketch"])
 def test_filter_fallback_never_picks_a_nan_distance(screen):
     # a NaN is never "less than" anything, so min() over the ids would keep
-    # a NaN neighbour with the lowest id; NaN ranks after every number,
-    # inf included, and among NaN alone the lowest id wins
+    # a NaN neighbour with the lowest id; the fallback takes the nearest
+    # finite distance, and with none finite it accepts nobody
     def fallback(neighbors):
         me = np.zeros(4)  # norm 0: nobody clears the threshold
         if screen == "sketch":  # the same vectors as sketch values
             me, neighbors = Sketch(me, 0), {j: Sketch(v, 0) for j, v in neighbors.items()}
         out = (balance_filter if screen == "balance" else sketch_filter)(
             me, neighbors, gamma=0.1, kappa=0.0, t=0, rounds=1)
-        assert out.fallback_used
-        return out.accepted
+        return out.accepted, out.fallback_used
 
-    nan, far, near = np.full(4, np.nan), np.full(4, 10.0), np.full(4, 5.0)
-    assert fallback({1: nan, 2: far, 3: near}) == [3]
-    assert fallback({1: nan, 2: np.full(4, np.inf)}) == [2]
-    assert fallback({7: nan, 4: nan, 9: nan}) == [4]
+    nan, inf, far, near = (np.full(4, v) for v in (np.nan, np.inf, 10.0, 5.0))
+    assert fallback({1: nan, 2: far, 3: near}) == ([3], True)
+    assert fallback({1: nan, 2: inf, 5: far}) == ([5], True)
+    assert fallback({1: nan, 2: inf}) == ([], False)
+    assert fallback({7: nan, 4: nan, 9: nan}) == ([], False)
+    assert fallback({3: inf, 6: -inf}) == ([], False)
 
 
 def test_filter_empty_neighborhood_stays_empty():

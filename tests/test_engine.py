@@ -524,24 +524,57 @@ def test_screening_survives_transmissions_that_overflow(monkeypatch, kind, threa
         return out
 
     monkeypatch.setattr(engine, "sketch_filter", recorded)
-    cfg = SimConfig(
+    res = run_simulation(_overflow_config(kind, TopologySpec(kind="k-regular", degree=4),
+                                          0.25, threads))
+    assert all(m.byz_accept_frac == 0.0 for m in res.metrics)
+    assert np.isfinite(res.final_models).all()
+    assert any(nan_seen) == (kind == "sketchfilter")
+
+
+def _overflow_config(kind, topology, byz_fraction, threads):
+    """Gaussian attackers with sigma = 1e308, whose draws overflow to +-inf."""
+    return SimConfig(
         task=TaskSpec(kind="logistic", features=15, classes=4, samples_per_client=40,
                       test_samples=200),
-        topology=TopologySpec(kind="k-regular", degree=4),
+        topology=topology,
         aggregator=AggregatorSpec(kind=kind, sketch_size=64, gamma=0.05),
         attack=AttackSpec(kind="gaussian", sigma=1e308),
         n_nodes=16,
-        byz_fraction=0.25,
+        byz_fraction=byz_fraction,
         rounds=3,
         local_epochs=1,
         lr=0.1,
         batch_size=16,
         threads=threads,
     )
-    res = run_simulation(cfg)
-    assert all(m.byz_accept_frac == 0.0 for m in res.metrics)
-    assert np.isfinite(res.final_models).all()
-    assert any(nan_seen) == (kind == "sketchfilter")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the draws overflow to +-inf
+@pytest.mark.parametrize("byz_fraction", [0.25, 0.4])
+@pytest.mark.parametrize("kind", ["sketchfilter", "balance"])
+def test_node_that_meets_no_finite_distance_keeps_its_own_model(monkeypatch, kind,
+                                                                byz_fraction):
+    # on a ring an honest node whose two neighbours both send overflowed
+    # models meets no finite distance; were its fallback one of them, it
+    # would mix in inf and the run would stop on divergence
+    name = "sketch_filter" if kind == "sketchfilter" else "balance_filter"
+    screen, outcomes = getattr(engine, name), []
+
+    def recorded(*args):
+        out = screen(*args)
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(engine, name, recorded)
+    serial, pooled = (run_simulation(_overflow_config(kind, TopologySpec(kind="ring"),
+                                                      byz_fraction, threads))
+                      for threads in (1, 2))
+    assert csv_bytes(serial) == csv_bytes(pooled)
+    assert serial.final_models.tobytes() == pooled.final_models.tobytes()
+    assert all(m.byz_accept_frac == 0.0 for m in serial.metrics)
+    assert np.isfinite(serial.final_models).all()
+    blind = [o for o in outcomes if not any(map(math.isfinite, o.distances.values()))]
+    assert blind and all(o.accepted == [] and not o.fallback_used for o in blind)
 
 
 # ------------------------------------------------------------- krum paths

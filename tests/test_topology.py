@@ -129,6 +129,22 @@ def test_erdos_renyi_budget_guarantee():
     assert erdos_renyi_attempts(2000) == MAX_ATTEMPTS  # large infeasible graphs fail fast
 
 
+def _bfs_connected(adj, nodes):
+    """Plain breadth-first search over neighbour sets: is the subgraph
+    induced on `nodes` connected? Zero or one node counts as connected."""
+    nodes = set(nodes)
+    if len(nodes) <= 1:
+        return True
+    queue = [min(nodes)]
+    seen = set(queue)
+    for u in queue:  # grows as the search reaches new nodes
+        for v in adj[u]:
+            if v in nodes and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen == nodes
+
+
 def _erdos_renyi_reference(n, p, seed):
     """Per-pair loop over the same PCG64 streams as the vectorised draw."""
     for attempt in range(erdos_renyi_attempts(n)):
@@ -140,9 +156,8 @@ def _erdos_renyi_reference(n, p, seed):
                 if mask[i, j]:
                     adj[i].add(j)
                     adj[j].add(i)
-        g = Graph(n=n, neighbors=tuple(tuple(sorted(a)) for a in adj))
-        if is_connected(g):
-            return g
+        if _bfs_connected(adj, range(n)):
+            return Graph(n=n, neighbors=tuple(tuple(sorted(a)) for a in adj))
     raise AssertionError("reference exhausted its budget")
 
 
@@ -210,6 +225,37 @@ def test_honest_subgraph_connectivity():
     assert honest_subgraph_connected(g, {0})
     assert honest_subgraph_connected(g, {0, 1, 2, 3})  # single honest node
     assert honest_subgraph_connected(g, {0, 1, 2, 3, 4})  # none left
+
+
+@st.composite
+def graphs_with_byzantine(draw):
+    """A graph on 1..12 nodes from any edge set, connected or not, and the
+    Byzantine ids that leave an honest set of 0..n nodes."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    honest = draw(st.integers(min_value=0, max_value=min(n, 3)) | st.just(n))
+    byz = draw(st.permutations(range(n)))[honest:]
+    return n, edges, sorted(byz)
+
+
+@given(drawn=graphs_with_byzantine())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(drawn=(4, {(0, 1), (2, 3)}, []))  # two components
+@example(drawn=(4, {(0, 1), (2, 3)}, [0, 1, 2, 3]))  # no honest node
+@example(drawn=(4, {(0, 1), (2, 3)}, [0, 1, 2]))  # one honest node
+@example(drawn=(4, {(0, 1), (2, 3)}, [0, 3]))  # two honest, not adjacent
+@example(drawn=(4, {(0, 1), (2, 3)}, [2, 3]))  # two honest, adjacent
+def test_connectivity_matches_plain_bfs(drawn):
+    n, edges, byz = drawn
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    g = Graph(n=n, neighbors=tuple(tuple(sorted(a)) for a in adj))
+    assert is_connected(g) == _bfs_connected(adj, range(n))
+    honest = set(range(n)) - set(byz)
+    assert honest_subgraph_connected(g, byz) == _bfs_connected(adj, honest)
 
 
 class CountingList(list):
