@@ -21,6 +21,7 @@ from typing import Callable
 
 from .engine import SimConfig
 from .errors import ConfigurationError
+from .io import render
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -134,22 +135,12 @@ def parse_config(path: str | Path) -> SimConfig:
     return parse_config_text(text, origin=str(path))
 
 
-def _render(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_config(config: SimConfig) -> str:
     """Full INI text with every key explicit; parse(emit(c)) == c."""
     lines = []
     for section, keys in _SCHEMA.items():
         holder = config if section == "run" else getattr(config, section)
         lines.append(f"[{section}]")
-        lines.extend(f"{key} = {_render(getattr(holder, name))}" for key, (name, _) in keys.items())
+        lines.extend(f"{key} = {render(getattr(holder, name))}" for key, (name, _) in keys.items())
         lines.append("")
     return "\n".join(lines)

@@ -29,8 +29,12 @@ CSV_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
-    # repr round-trips floats exactly; everything else is printed plainly
+def render(value) -> str:
+    """A CSV cell or INI value as text; repr round-trips floats exactly."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -51,7 +55,7 @@ def metrics_csv_text(rows: list[tuple]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    writer.writerows([render(v) for v in row] for row in rows)
     return buf.getvalue()
 
 

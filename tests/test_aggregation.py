@@ -183,7 +183,7 @@ def test_aggregate_mixed_is_order_stable():
 
 
 @given(alpha=st.floats(min_value=0, max_value=1))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_aggregate_mixed_stays_in_convex_hull(alpha):
     me = np.array([0.0])
     accepted = {1: np.array([1.0]), 2: np.array([2.0])}

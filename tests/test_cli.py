@@ -1,6 +1,8 @@
 """CLI subcommands, argument parsing and exit codes."""
 import json
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from sketchdfl.cli import (
 from sketchdfl.config import parse_config_text
 from sketchdfl.errors import ConfigurationError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 TINY = """
 [task]
@@ -166,7 +169,7 @@ def test_infeasible_degree_is_a_config_error(tmp_path, capsys):
     cfg.write_text(
         "[topology]\nkind = k-regular\ndegree = 3\n\n[run]\nnodes = 5\nrounds = 1\n"
     )
-    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
     assert "n*degree must be even" in capsys.readouterr().err
 
 
@@ -176,7 +179,7 @@ def test_unbuildable_topology_exits_3(tmp_path, capsys):
     cfg.write_text(
         "[topology]\nkind = erdos-renyi\np = 0.001\n\n[run]\nnodes = 20\nrounds = 1\n"
     )
-    assert main(["run", "--config", str(cfg)]) == EXIT_INVARIANT
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
 
 
@@ -313,3 +316,20 @@ def test_readme_names_only_commands_that_exist(capsys):
             _build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0, f"README names unknown subcommand {command!r}"
     assert [s for s in sorted(scripts) if not (README.parent / s).is_file()] == []
+
+
+def test_robustness_sweep_script_writes_a_csv_per_aggregator_and_a_table(tmp_path):
+    # the script reaches the private cli._parse_fractions, so run it whole
+    out = tmp_path / "rob"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "robustness_sweep.py"),
+         "--config", str(ROOT / "configs" / "robustness.ini"), "--fractions", "0,0.2",
+         "--seeds", "1", "--aggregators", "sketchfilter,balance", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for kind in ("sketchfilter", "balance"):
+        # 2 fractions x 1 seed x 10 rounds, under a header
+        assert len((out / f"metrics_{kind}.csv").read_text().splitlines()) == 1 + 20
+    table = done.stdout.split("byz_frac", 1)[1].splitlines()[1:]  # the rows under the header
+    assert [row.split()[0] for row in table] == ["0.00", "0.20"]

@@ -919,6 +919,7 @@ SWEEP_CASES = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # byz 0.4 cuts the honest subgraph
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_matches_pinned_digests(name):

@@ -21,6 +21,8 @@ from sketchdfl.io import metrics_csv_text
 from sketchdfl.learning import TaskSpec
 from sketchdfl.topology import TopologySpec
 
+pytestmark = pytest.mark.digest
+
 
 def golden_config(kind: str, attacked: bool, **overrides) -> SimConfig:
     base = dict(

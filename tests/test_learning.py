@@ -144,6 +144,7 @@ GENERATOR_SPECS = {
 }
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize("kind", sorted(GENERATOR_SPECS))
 def test_generated_data_matches_pinned_digests(kind):
     spec, digests = GENERATOR_SPECS[kind]

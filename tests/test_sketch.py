@@ -66,7 +66,7 @@ def test_tables_match_golden_pairs():
     width_frac=st.floats(min_value=0.01, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_tables_agree_with_scalar_rule(dim, width_frac, seed):
     width = max(1, int(dim * width_frac))
     params = SketchParams(dim=dim, width=width, seed=seed)
@@ -136,7 +136,7 @@ def test_mix64_stays_in_range(x):
     a=st.floats(min_value=-5, max_value=5, allow_nan=False),
     b=st.floats(min_value=-5, max_value=5, allow_nan=False),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_sketch_linearity(seed, a, b):
     params = SketchParams(dim=400, width=64, seed=seed)
     rng = np.random.default_rng(seed % 2**32)

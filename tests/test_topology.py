@@ -51,7 +51,7 @@ def test_edge_list_text_and_digest():
     p=st.floats(min_value=0.1, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @example(n=5, p=0.125, seed=1)  # first connected draw is attempt 239
 @example(n=7, p=0.1, seed=0)  # least likely connected point of the range
 def test_erdos_renyi_connected_and_deterministic(n, p, seed):
@@ -66,6 +66,7 @@ def test_erdos_renyi_connected_and_deterministic(n, p, seed):
             assert i in g1.neighbors[j]
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize(
     "n,p,seed,edges,digest",
     [
@@ -80,6 +81,7 @@ def test_erdos_renyi_pinned_digests(n, p, seed, edges, digest):
     assert g.digest() == digest
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize(
     "n,degree,seed,edges,digest",
     [
@@ -96,6 +98,7 @@ def test_k_regular_pinned_digests(n, degree, seed, edges, digest):
     assert g.digest() == digest
 
 
+@pytest.mark.digest
 @pytest.mark.parametrize(
     "kind,n,digest",
     [
@@ -166,7 +169,7 @@ def _erdos_renyi_reference(n, p, seed):
     p=st.floats(min_value=0.1, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_erdos_renyi_matches_loop_reference(n, p, seed):
     g = build_topology(TopologySpec(kind="erdos-renyi", p=p), n, seed)
     assert g == _erdos_renyi_reference(n, p, seed)
@@ -178,7 +181,7 @@ def test_erdos_renyi_matches_loop_reference(n, p, seed):
     degree=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_k_regular_degrees_exact(n, degree, seed):
     if degree >= n or (n * degree) % 2 != 0:
         return
@@ -240,7 +243,7 @@ def graphs_with_byzantine(draw):
 
 
 @given(drawn=graphs_with_byzantine())
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @example(drawn=(4, {(0, 1), (2, 3)}, []))  # two components
 @example(drawn=(4, {(0, 1), (2, 3)}, [0, 1, 2, 3]))  # no honest node
 @example(drawn=(4, {(0, 1), (2, 3)}, [0, 1, 2]))  # one honest node
@@ -297,7 +300,7 @@ def test_byzantine_sampling_never_swallows_every_node():
     frac=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_byzantine_ids_valid(n, frac, seed):
     ids = sample_byzantine_nodes(n, frac, seed)
     assert ids == sorted(set(ids))
