@@ -363,20 +363,15 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
 
     screening = kind != "dfedavg"
     if screening:
-        # vector ids: j is what node j sends; an attacker screens with its
-        # own trained vector, id n + i, which differs from what it sent,
-        # unless it advertises its own sketch (consistent_sketch = false),
-        # which is then the vector it screens with. Krum measures all pairs
-        # of its pools of 3 or more, the filters only each receiver's own
-        # vector against its neighbours'.
-        sends_own = sketching and not config.attack.consistent_sketch
-        own = [config.n_nodes + i if attacking and i in byz_set and not sends_own else i
+        # vector ids: j is what node j sends, and n + i the trained vector
+        # attacker i screens with. Every node's pool is its own id, then
+        # its neighbours'; Krum measures all pairs of a pool, the filters
+        # only the first id against the others.
+        own = [config.n_nodes + i if attacking and i in byz_set else i
                for i in range(config.n_nodes)]
         star = kind != "krum"
-        pairs = PairTable({
-            i: [own[i], *graph.neighbors[i]]
-            for i in range(config.n_nodes) if star or graph.degree(i) >= 2
-        }, star=star, parts=workers)
+        pairs = PairTable({i: [own[i], *graph.neighbors[i]] for i in range(config.n_nodes)},
+                          star=star, parts=workers)
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):

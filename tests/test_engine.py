@@ -674,7 +674,7 @@ def test_krum_measures_each_pool_pair_once_a_round(monkeypatch, attack, threads)
     res, graph, own, rounds = _measured_pairs(monkeypatch, "krum", attack, threads)
     n = len(own)
     byz = set(res.manifest["byzantine_nodes"])
-    pools = [[own[i], *graph.neighbors[i]] for i in range(n) if graph.degree(i) >= 2]
+    pools = [[own[i], *graph.neighbors[i]] for i in range(n)]
     needed = {frozenset((a, b)) for ids in pools for a in ids for b in ids if a != b}
     per_node = sum(len(ids) * (len(ids) - 1) // 2 for ids in pools)
     assert len(needed) < per_node
@@ -746,8 +746,10 @@ def test_settlement_screens_through_one_engine_filter_per_node_and_round(
 
 
 def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkeypatch):
-    # an attacker that advertises its own sketch (consistent_sketch = false)
-    # screens with the vector it sends, so the graph's edges are every pair
+    # an attacker screens under id n + i also when it advertises its own
+    # sketch (consistent_sketch = false), so the table holds every edge
+    # that does not join two attackers, plus one pair per attacker and
+    # neighbour
     n_pairs: list[int] = []
 
     class RecordingTable(PairTable):
@@ -763,8 +765,11 @@ def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkey
         attack=AttackSpec(kind="gaussian", consistent_sketch=False),
         rounds=1,
     )
-    run_simulation(cfg)
-    assert n_pairs == [len(build_topology(cfg.topology, 64, cfg.seeds.topology).edges())]
+    res = run_simulation(cfg)
+    graph = build_topology(cfg.topology, 64, cfg.seeds.topology)
+    byz = set(res.manifest["byzantine_nodes"])
+    plain = sum(not {a, b} <= byz for a, b in graph.edges())
+    assert n_pairs == [plain + sum(graph.degree(i) for i in byz)] == [737]
 
 
 # ------------------------------------------------------------- config guards

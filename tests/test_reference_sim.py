@@ -4,7 +4,7 @@ time: every CSV byte, every `agg_ops_mean` and every final model byte.
 The grid draws the aggregator, attack, topology, task and thread count;
 the explicit examples pin the cases that must run whatever is drawn: a
 stale-sketch gaussian sketchfilter run, whose attackers only download
-verification catches, and the overflow config of test_engine.py, whose
+verification catches, and the overflow configs of test_engine.py, whose
 sigma = 1e308 draws overflow to +-inf.
 """
 import pytest
