@@ -55,20 +55,20 @@ def simulate(cfg: SimConfig) -> Reference:
     rows, agg_ops = [], []
     for t in range(cfg.rounds):
         start_mean = np.mean(models[honest], axis=0)
-        trained = local_update(task, models.copy(), data.features, data.labels, cfg.lr,
+        trained = local_update(task, models, data.features, data.labels, cfg.lr,
                                cfg.local_epochs, cfg.batch_size,
                                [node_stream(cfg.seeds.training, t, i, tag=1) for i in range(n)])
 
         # what each node uploads and advertises; attackers train honestly
         # and corrupt only what they send
         sent = list(trained)
-        if attack.kind == "directed-deviation":
-            mean = np.mean(trained[honest], axis=0)
-            sent = [mean - attack.lam * np.sign(mean - start_mean) if j in byz else sent[j]
-                    for j in range(n)]
-        elif attack.kind == "gaussian":
-            sent = [trained[j] + attack.sigma * node_stream(cfg.seeds.attack, t, j, tag=2)
-                    .standard_normal(d) if j in byz else sent[j] for j in range(n)]
+        mean = np.mean(trained[honest], axis=0)
+        for j in byz:
+            if attack.kind == "gaussian":
+                noise = node_stream(cfg.seeds.attack, t, j, tag=2).standard_normal(d)
+                sent[j] = trained[j] + attack.sigma * noise
+            elif attack.kind == "directed-deviation":
+                sent[j] = mean - attack.lam * np.sign(mean - start_mean)
         if sketching:
             own = [sketch(v) for v in trained]
             advertised = [sketch(v) for v in sent] if attack.consistent_sketch else own
