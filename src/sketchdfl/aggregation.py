@@ -1,10 +1,9 @@
-"""Neighbor screening and robust aggregation.
-
-Four aggregators share one calling convention: a time-decaying distance
-filter, balance_filter, run on full models (balance) or, behind
-sketch_filter's hash-family check, on sketch values (sketchfilter);
-coordinate-free averaging (dfedavg); and nearest-cluster selection (krum).
-"""
+"""Neighbor screening and robust aggregation: the kernels engine.RULES
+combines, one row per aggregator kind (a new rule is one more row there),
+from a pair layout (a star PairTable or a pool of all pairs), a screening
+space (full models, or sketch values behind sketch_filter's hash-family
+check), a selection (balance_filter's decaying threshold, krum_select_index
+or all) and a mixing (aggregate_mixed, a copy, or dfedavg_aggregate)."""
 from __future__ import annotations
 
 import math

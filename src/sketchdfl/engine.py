@@ -2,12 +2,13 @@
 
 One round has four phases: every node trains locally, then in one attack
 phase each compromised node substitutes its transmission, then every node
-screens its neighbors with one rule (on sketches or full models depending
-on the aggregator) and mixes the accepted models that passed the sender
-check. That check runs once a round, and only where a pair can mismatch,
-on an attacker advertising a stale sketch: an honest sender's pair, and a
-consistent attacker's, match by construction (the modelled agg_ops still
-bill every receiver's check). Screening distances are measured once per
+screens its neighbors and mixes by its aggregator's row of RULES: which
+pairs screening reads, whether it reads sketch values (then the run
+sketches, attackers advertise sketches and fetched models are checked),
+how it selects neighbors, and how it mixes the selected models that pass
+that check. Settlement runs every row alike and the modelled costs are
+derived from the row, so a new rule is one more row, written in
+tests/reference_sim.py first. Screening distances are measured once per
 distinct pair per round, in one table shared by every receiver (from
 either end a pair has the same bits); the modelled screen_ops still bill
 each receiver for its own. A run holds two (n, d) model stacks, both
@@ -35,17 +36,17 @@ from __future__ import annotations
 import ctypes
 import threading
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__, sketch
 from .aggregation import (
-    SKETCH_KINDS,
     AggregatorSpec,
     PairTable,
     aggregate_mixed,
@@ -173,32 +174,65 @@ def node_stream(seed: int, round_index: int, node: int, tag: int = 0) -> np.rand
     )
 
 
+class Rule(NamedTuple):
+    """A row of RULES, as the module docstring describes it."""
+
+    layout: str | None  # None, "star" or "pool"
+    sketch: bool  # screens sketch values
+    select: Callable  # (own, {j: neighbour's}, distances, config, t) -> (accepted, fallback)
+    mix: Callable  # (own model, {j: survivor's model}, alpha, out) writes the new model
+
+
+def _threshold(screen: Callable, own, neighbours, sq, config: SimConfig, t: int):
+    agg = config.aggregator
+    out = screen(own, neighbours, agg.gamma, agg.kappa, t, config.rounds, sq)
+    return out.accepted, out.fallback_used
+
+
+def _krum(own, neighbours, sq, config: SimConfig, t: int):
+    pool = [own, *neighbours.values()]
+    if len(pool) < 3:  # krum is undefined below 3 models: keep own model
+        return [], False
+    f = config.aggregator.krum_f
+    if f is None:
+        f = int(np.floor(config.byz_fraction * len(pool) + 0.5))
+    chosen = krum_select_index(pool, min(f, len(pool) - 3), sq=sq)  # f + 3 <= len(pool)
+    return ([] if chosen == 0 else [list(neighbours)[chosen - 1]]), False
+
+
+def _copy(own, survivors, alpha, out) -> None:
+    np.copyto(out, *survivors.values())
+
+
+# Rows look their kernels up in engine when they run, so a test or tracer
+# that patches engine.balance_filter (say) sees every call.
+RULES = {
+    "dfedavg": Rule(None, False, lambda own, neighbours, *_: (list(neighbours), False),
+                    lambda own, survivors, alpha, out: dfedavg_aggregate(own, survivors, out=out)),
+    "krum": Rule("pool", False, _krum, _copy),
+    "balance": Rule("star", False, lambda *a: _threshold(balance_filter, *a),
+                    lambda *a: aggregate_mixed(*a)),
+    "sketchfilter": Rule("star", True, lambda *a: _threshold(sketch_filter, *a),
+                         lambda *a: aggregate_mixed(*a)),
+}
+
+
 def screening_ops(kind: str, d: int, k: int, n_neighbors: int) -> int:
     """Distance-evaluation cost of the screening phase, in exact
-    multiply-accumulate counts."""
-    if kind == "dfedavg":
-        return 0
-    if kind == "balance":
-        return d * n_neighbors
-    if kind in SKETCH_KINDS:
-        return k * n_neighbors
-    # krum: pairwise distances over self + neighbors
-    m = n_neighbors + 1
-    return d * (m * (m - 1) // 2)
+    multiply-accumulate counts: k (sketches) or d per pair of the layout."""
+    rule = RULES[kind]
+    pairs = {None: 0, "star": n_neighbors, "pool": n_neighbors * (n_neighbors + 1) // 2}
+    return (k if rule.sketch else d) * pairs[rule.layout]
 
 
 def aggregation_ops(kind: str, d: int, k: int, n_candidates: int, n_accepted: int) -> int:
-    """Post-screening cost: verification sketches plus the mixing sum.
-    n_candidates is the pre-verification accepted count (models fetched),
-    n_accepted the post-verification survivor count."""
-    if kind == "dfedavg":
-        return d * (n_candidates + 1)
-    if kind == "krum":
-        return d
-    if kind == "balance":
-        return d * (n_accepted + 1)
-    # sketch aggregators: own sketch + one recompute per fetched model + mixing
-    return d * (1 + n_candidates) + d * (n_accepted + 1)
+    """Post-screening cost: under sketches the own sketch and one recompute
+    per fetched model (n_candidates, pre-verification), then the mix: a
+    copy of Krum's pick, else the sum of the own model and the n_accepted
+    survivors (without sketches nothing is checked, so the counts agree)."""
+    rule = RULES[kind]
+    checks = d * (1 + n_candidates) if rule.sketch else 0
+    return checks + (d if rule.mix is _copy else d * (n_accepted + 1))
 
 
 def account_communication(kind: str, n_neighbors: int, n_accepted: int, d: int, k: int) -> int:
@@ -211,7 +245,7 @@ def account_communication(kind: str, n_neighbors: int, n_accepted: int, d: int, 
         )
     if min(n_neighbors, n_accepted, d, k) < 0:
         raise ConfigurationError("communication accounting needs nonnegative counts")
-    if kind in SKETCH_KINDS:
+    if RULES[kind].sketch:
         return k * n_neighbors + d * n_accepted
     return d * n_neighbors
 
@@ -298,14 +332,6 @@ def _resolve_sketch_params(config: SimConfig, dim: int) -> SketchParams:
     return SketchParams(dim=dim, width=width, seed=config.seeds.sketch if seed is None else seed)
 
 
-def _krum_f(config: SimConfig, n_models: int) -> int:
-    if config.aggregator.krum_f is not None:
-        f = config.aggregator.krum_f
-    else:
-        f = int(np.floor(config.byz_fraction * n_models + 0.5))
-    return max(0, min(f, n_models - 3))
-
-
 def run_simulation(
     config: SimConfig,
     run_id: str | None = None,
@@ -329,7 +355,7 @@ def run_simulation(
 def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
               pmap: Callable, workers: int) -> RunResult:
     kind = config.aggregator.kind
-    agg = config.aggregator
+    rule = RULES[kind]
     if data is None:
         data = generate_federated_data(config.task, config.n_nodes, config.seeds.data)
     elif (data.spec, data.seed, len(data.labels)) != (
@@ -350,10 +376,8 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             RuntimeWarning,
         )
 
-    sketching = kind in SKETCH_KINDS
-    params = None
-    if sketching:  # built here, not once by each pool worker that misses the cache
-        params = _resolve_sketch_params(config, task.dim)
+    params = _resolve_sketch_params(config, task.dim) if rule.sketch else None
+    if params:  # built here, not once by each pool worker that misses the cache
         sketch.hash_tables(params)
 
     models = np.empty((config.n_nodes, task.dim))  # (n, d), one row per node
@@ -361,17 +385,19 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
     spare = np.empty_like(models)
     attacking = bool(byz) and config.attack.kind != "none"
 
-    screening = kind != "dfedavg"
-    if screening:
+    if rule.layout:
         # vector ids: j is what node j sends, and n + i the trained vector
         # attacker i screens with. Every node's pool is its own id, then
-        # its neighbours'; Krum measures all pairs of a pool, the filters
-        # only the first id against the others.
+        # its neighbours'; a star measures only the first id against the
+        # others, and each node reads its row, a pool its whole submatrix.
         own = [config.n_nodes + i if attacking and i in byz_set else i
                for i in range(config.n_nodes)]
-        star = kind != "krum"
         pairs = PairTable({i: [own[i], *graph.neighbors[i]] for i in range(config.n_nodes)},
-                          star=star, parts=workers)
+                          star=rule.layout == "star", parts=workers)
+        near = pairs.row if rule.layout == "star" else pairs.submatrix
+
+    def honest_mean(value: Callable[[int], float]) -> float:
+        return float(np.mean([value(i) for i in honest]))
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
@@ -394,70 +420,55 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         # sent; only an attacker advertising a stale sketch is checked.
         transmit = list(trained)
         verified = [True] * config.n_nodes
-        if sketching:
-            own_sketch = list(pmap(lambda v: compute_sketch(params, v), trained))
-            tx_sketch = list(own_sketch)
+        own_sketch = (list(pmap(lambda v: compute_sketch(params, v), trained)) if rule.sketch
+                      else [None] * config.n_nodes)
+        tx_sketch = list(own_sketch)
         if attacking:
             colluding = colluding_vector(config.attack, [trained[i] for i in honest], start_mean)
 
             def attack(j: int) -> tuple[np.ndarray, Sketch | None, bool]:
                 """Attacker j's transmission, written into its own row of
                 mixed, which settlement writes only once every receiver has
-                read it; under a sketch protocol also the sketch it
-                advertises and whether the pair passes the sender check,
-                which runs only on a stale sketch."""
+                read it; under sketches also the sketch it advertises and
+                whether the pair passes the sender check."""
                 sent = apply_attack(
                     config.attack, trained[j], colluding,
                     node_stream(config.seeds.attack, t, j, tag=2),
                     out=mixed[j],
                 )
-                if not sketching:
+                if not rule.sketch:
                     return sent, None, True
                 message = attacker_message(config.attack, params, sent, own_sketch[j])
                 passed = (not config.verification or config.attack.consistent_sketch
-                          or verify_model_against_sketch(params, sent, message, agg.rel_tol))
+                          or verify_model_against_sketch(params, sent, message,
+                                                         config.aggregator.rel_tol))
                 return sent, message, passed
 
             for j, (sent, message, passed) in zip(byz, pmap(attack, byz)):
-                transmit[j], verified[j] = sent, passed
-                if sketching:
-                    tx_sketch[j] = message
+                transmit[j], tx_sketch[j], verified[j] = sent, message, passed
             del colluding, start_mean  # directed-deviation's round state
 
-        if screening:
-            vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if sketching
+        if rule.layout:
+            vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if rule.sketch
                        else [*transmit, *trained])
             sq = pairs.compute(vectors, pmap)
 
-        def settle(i: int) -> tuple[list[int], bool]:
+        def settle(i: int) -> tuple[list[int], dict, bool]:
             """Writes node i's new model into mixed[i], or, for an attacker
             whose transmission mixed[i] holds until every receiver has read
-            it, into its trained row, which only it reads; returns
-            (screening-accepted neighbors, fallback used)."""
-            nbrs = graph.neighbors[i]
+            it, into its trained row, which only it reads; returns the rule's
+            selection, its survivors of the sender check, and the fallback."""
             dest = trained[i] if attacking and i in byz_set else mixed[i]
-            if kind == "dfedavg":
-                dfedavg_aggregate(trained[i], {j: transmit[j] for j in nbrs}, out=dest)
-                return list(nbrs), False
-            if kind == "krum":
-                pool = [trained[i]] + [transmit[j] for j in nbrs]
-                chosen = 0  # krum is undefined below 3 models: keep own model
-                if len(pool) >= 3:
-                    chosen = krum_select_index(pool, _krum_f(config, len(pool)),
-                                               sq=pairs.submatrix(sq, i))
-                dest[...] = pool[chosen]
-                return [] if chosen == 0 else [nbrs[chosen - 1]], False
-            screen, mine, sent = ((sketch_filter, own_sketch[i], tx_sketch) if sketching
-                                  else (balance_filter, trained[i], transmit))
-            screened = screen(mine, {j: sent[j] for j in nbrs},
-                              agg.gamma, agg.kappa, t, config.rounds, pairs.row(sq, i))
-            if chosen := {j: transmit[j] for j in screened.accepted if verified[j]}:
-                aggregate_mixed(trained[i], chosen, agg.alpha, out=dest)
+            own, sent = (own_sketch[i], tx_sketch) if rule.sketch else (trained[i], transmit)
+            accepted, fallback = rule.select(own, {j: sent[j] for j in graph.neighbors[i]},
+                                             near(sq, i) if rule.layout else None, config, t)
+            if survivors := {j: transmit[j] for j in accepted if verified[j]}:
+                rule.mix(trained[i], survivors, config.aggregator.alpha, dest)
             else:
                 dest[...] = trained[i]
-            return screened.accepted, screened.fallback_used
+            return accepted, survivors, fallback
 
-        accepted, fallback = zip(*pmap(settle, range(config.n_nodes)))
+        accepted, survivors, fallback = zip(*pmap(settle, range(config.n_nodes)))
         if attacking:
             for j in byz:  # row by row: mixed[byz] = trained[byz] gathers a copy first
                 mixed[j] = trained[j]
@@ -467,41 +478,28 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         # and checks, whichever sender they reach
         d = task.dim
         width = params.width if params else 0
-        survivors = {i: [j for j in accepted[i] if verified[j]] for i in honest}
         # outbound accounting: uploads happen for every fetched (pre-verify) model
-        uploads = [0] * config.n_nodes
-        for fetched in accepted:
-            for j in fetched:
-                uploads[j] += 1
+        uploads = Counter(j for fetched in accepted for j in fetched)
 
         active = models[:, : task.active_dim]
         if config.per_client_eval:  # shards read in place; attackers' scores dropped
             scores = test_error_rate(task, active, data.features, data.labels)[honest]
         else:
             scores = test_error_rate(task, active[honest], data.test_features, data.test_labels)
-        ter = float(np.mean(scores))
         byz_slots = sum(len(byz_set & set(graph.neighbors[i])) for i in honest)
         byz_taken = sum(len(byz_set & set(survivors[i])) for i in honest)
         metrics.append(RoundMetrics(
             round=t,
-            mean_ter=ter,
-            params_tx_mean=float(np.mean([
-                account_communication(kind, graph.degree(i), uploads[i], d, width)
-                for i in honest
-            ])),
-            screen_ops_mean=float(np.mean([
-                screening_ops(kind, d, width, graph.degree(i)) for i in honest
-            ])),
-            accept_frac=float(np.mean([
-                len(accepted[i]) / graph.degree(i) for i in honest
-            ])),
+            mean_ter=float(np.mean(scores)),
+            params_tx_mean=honest_mean(
+                lambda i: account_communication(kind, graph.degree(i), uploads[i], d, width)),
+            screen_ops_mean=honest_mean(lambda i: screening_ops(kind, d, width, graph.degree(i))),
+            accept_frac=honest_mean(lambda i: len(accepted[i]) / graph.degree(i)),
             byz_accept_frac=byz_taken / byz_slots if byz_slots else 0.0,
             verify_fail=sum(len(accepted[i]) - len(survivors[i]) for i in honest),
             fallback_count=sum(fallback[i] for i in honest),
-            agg_ops_mean=float(np.mean([
-                aggregation_ops(kind, d, width, len(accepted[i]), len(survivors[i]))
-                for i in honest
-            ])),
+            agg_ops_mean=honest_mean(
+                lambda i: aggregation_ops(kind, d, width, len(accepted[i]), len(survivors[i]))),
         ))
 
     if run_id is None:

@@ -179,6 +179,8 @@ def _k_regular(n: int, degree: int, seed: int) -> np.ndarray:
         raise ConfigurationError(f"n*degree must be even, got n={n}, degree={degree}")
     if degree == n - 1:
         return _full(n)
+    if degree == 1:  # a perfect matching, never connected on more than 2 nodes
+        raise ConfigurationError(f"degree 1 on n={n} > 2 nodes is never connected")
     # Dense half: stub repair livelocks when leftovers are already joined,
     # so pair the sparse complement instead. Min degree > (n-1)/2 makes the
     # complemented result connected by pigeonhole, no retry filter needed.

@@ -165,12 +165,14 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, section, key, raw):
 
 
 def test_infeasible_degree_is_a_config_error(tmp_path, capsys):
-    cfg = tmp_path / "odd.ini"
-    cfg.write_text(
-        "[topology]\nkind = k-regular\ndegree = 3\n\n[run]\nnodes = 5\nrounds = 1\n"
-    )
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-    assert "n*degree must be even" in capsys.readouterr().err
+    # an odd degree sum, and a perfect matching, which no attempt connects
+    for degree, nodes, message in ((3, 5, "n*degree must be even"),
+                                   (1, 4, "never connected")):
+        cfg = tmp_path / f"d{degree}.ini"
+        cfg.write_text(f"[topology]\nkind = k-regular\ndegree = {degree}\n\n"
+                       f"[run]\nnodes = {nodes}\nrounds = 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_unbuildable_topology_exits_3(tmp_path, capsys):

@@ -409,6 +409,8 @@ def test_screening_op_formulas():
     assert screening_ops("balance", 100, 8, 7) == 700
     assert screening_ops("sketchfilter", 100, 8, 7) == 56
     assert screening_ops("krum", 100, 8, 7) == 100 * 28
+    # one neighbour: a star holds one pair, and so does Krum's pool of two
+    assert [screening_ops(kind, 100, 8, 1) for kind in AGGREGATOR_KINDS] == [0, 100, 100, 8]
 
 
 def test_aggregation_op_formulas():
@@ -416,15 +418,32 @@ def test_aggregation_op_formulas():
     assert aggregation_ops("krum", 10, 0, 1, 1) == 10
     assert aggregation_ops("balance", 10, 0, 4, 3) == 40
     assert aggregation_ops("sketchfilter", 10, 8, 4, 3) == 10 * 5 + 10 * 4
+    # a second neighbour count; without sketches every fetched model survives
+    assert aggregation_ops("dfedavg", 10, 8, 1, 1) == 20
+    assert aggregation_ops("balance", 10, 8, 1, 1) == 20
+    assert aggregation_ops("sketchfilter", 10, 8, 6, 2) == 100
+    # Krum with one neighbour keeps its own model, still one copy
+    assert aggregation_ops("krum", 10, 8, 0, 0) == 10
 
 
 def test_account_communication_validation():
     assert account_communication("sketchfilter", 100, 50, 6_600_000, 1000) == 330_100_000
     assert account_communication("balance", 100, 50, 6_600_000, 1000) == 660_000_000
+    # every kind at two neighbour counts: only sketchfilter sends sketches
+    # and uploads its model to fetchers alone
+    assert [account_communication(kind, 3, 1, 10, 2) for kind in AGGREGATOR_KINDS] == [
+        30, 30, 30, 16]
+    assert [account_communication(kind, 1, 1, 10, 2) for kind in AGGREGATOR_KINDS] == [
+        10, 10, 10, 12]
+    assert account_communication("dfedavg", 100, 100, 6_600_000, 1000) == 660_000_000
     with pytest.raises(ConfigurationError, match="exceeds neighbor count"):
         account_communication("sketchfilter", 3, 4, 10, 2)
     with pytest.raises(ConfigurationError, match="nonnegative"):
         account_communication("balance", -1, -1, 10, 2)
+
+
+def test_rule_table_has_one_row_per_aggregator_kind():
+    assert engine.RULES.keys() == set(AGGREGATOR_KINDS)
 
 
 def test_verification_rejects_mismatched_sketches_but_still_bills_upload():
@@ -591,14 +610,25 @@ def test_krum_engine_tolerates_gaussian_attack():
     assert np.isfinite(res.final_models).all()
 
 
-def test_krum_f_override_and_derivation():
+def test_krum_f_override_and_derivation(monkeypatch):
+    # the f Krum's row passes for a pool of the node's own model and its
+    # neighbours' (the distances are not read by the stand-in)
+    passed = []
+    monkeypatch.setattr(engine, "krum_select_index",
+                        lambda pool, f, sq=None: passed.append(f) or 0)
+
+    def krum_f(cfg, n_models):
+        models = {j: np.zeros(1) for j in range(1, n_models)}
+        assert engine.RULES["krum"].select(np.zeros(1), models, None, cfg, 0) == ([], False)
+        return passed.pop()
+
     cfg = tiny_config(aggregator=AggregatorSpec(kind="krum", krum_f=2))
-    assert engine._krum_f(cfg, 10) == 2
+    assert krum_f(cfg, 10) == 2
     derived = tiny_config(aggregator=AggregatorSpec(kind="krum"), byz_fraction=0.3)
-    assert engine._krum_f(derived, 10) == 3
+    assert krum_f(derived, 10) == 3
     # clamp: never demand more tolerated faults than krum can score
-    assert engine._krum_f(derived, 4) == 1
-    assert engine._krum_f(tiny_config(aggregator=AggregatorSpec(kind="krum")), 10) == 0
+    assert krum_f(derived, 4) == 1
+    assert krum_f(tiny_config(aggregator=AggregatorSpec(kind="krum")), 10) == 0
 
 
 @pytest.mark.parametrize("chosen, accept_frac", [(0, 0.0), (1, 0.25)])
@@ -743,6 +773,47 @@ def test_settlement_screens_through_one_engine_filter_per_node_and_round(
     assert calls.count("engine.sketch_filter") == (per_run if sketching else 0)
     assert calls.count("engine.balance_filter") == (per_run if balance else 0)
     assert calls.count("aggregation.balance_filter") == (per_run if sketching else 0)
+
+
+# per-run calls of every kernel perfbench/tracing.py patches in engine, on
+# 10 nodes of a 4-regular graph over 3 rounds, 3 of them gaussian attackers
+# advertising stale sketches; a kernel not named is never called
+_KERNEL_CALLS = {
+    "dfedavg": {"dfedavg_aggregate": 30},
+    "krum": {"krum_select_index": 30},
+    "balance": {"balance_filter": 30, "aggregate_mixed": 30},
+    "sketchfilter": {"sketch_filter": 30, "aggregate_mixed": 30, "compute_sketch": 30,
+                     "verify_model_against_sketch": 9},
+}
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_every_kernel_is_looked_up_through_engine_when_called(monkeypatch, kind):
+    # a rule table that bound a kernel at import would call the original,
+    # unseen by the tracer and by tests that patch the engine's name
+    calls = dict.fromkeys(("sketch_filter", "balance_filter", "krum_select_index",
+                           "aggregate_mixed", "dfedavg_aggregate", "compute_sketch",
+                           "verify_model_against_sketch"), 0)
+
+    def counted(name):
+        kernel = getattr(engine, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    run_simulation(tiny_config(
+        aggregator=AggregatorSpec(kind=kind, sketch_size=8),
+        topology=TopologySpec(kind="k-regular", degree=4),
+        n_nodes=10,
+        byz_fraction=0.3,
+        attack=AttackSpec(kind="gaussian", sigma=3.0, consistent_sketch=False),
+    ))
+    assert calls == {**dict.fromkeys(calls, 0), **_KERNEL_CALLS[kind]}
 
 
 def test_attackers_advertising_their_own_sketch_screen_under_their_own_id(monkeypatch):

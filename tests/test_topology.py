@@ -207,6 +207,11 @@ def test_k_regular_infeasible_rejected():
         build_topology(TopologySpec(kind="k-regular", degree=5), 5)  # odd product
     with pytest.raises(ConfigurationError):
         build_topology(TopologySpec(kind="k-regular", degree=6), 5)  # degree >= n
+    for n in (4, 16):  # a perfect matching on more than 2 nodes is disconnected
+        with pytest.raises(ConfigurationError, match="never connected"):
+            build_topology(TopologySpec(kind="k-regular", degree=1), n)
+    # ...but on 2 nodes it is their one edge
+    assert build_topology(TopologySpec(kind="k-regular", degree=1), 2).edges() == [(0, 1)]
 
 
 def test_spec_validation():
