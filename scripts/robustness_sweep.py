@@ -4,7 +4,9 @@
 Runs the same fraction x seed grid once per aggregator, writes one
 metrics CSV per aggregator plus all run manifests, and prints a mean
 final-error table so the degradation curves can be eyeballed without
-opening the CSVs.
+opening the CSVs. Errors exit with the sketchdfl CLI's codes; a
+configuration error, such as an unknown aggregator name, exits 2 before
+any run.
 """
 import argparse
 import sys
@@ -13,9 +15,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sketchdfl.cli import _parse_fractions
+from sketchdfl.aggregation import AGGREGATOR_KINDS
+from sketchdfl.cli import _parse_fractions, exit_code
 from sketchdfl.config import parse_config
 from sketchdfl.engine import sweep
+from sketchdfl.errors import ConfigurationError
 from sketchdfl.io import write_manifest, write_metrics_csv
 
 
@@ -26,7 +30,7 @@ def main() -> int:
                     help="comma list or LO:HI:STEP, inclusive")
     ap.add_argument("--seeds", type=int, default=3,
                     help="master seeds 0..N-1")
-    ap.add_argument("--aggregators", default="sketchfilter,balance,dfedavg")
+    ap.add_argument("--aggregators", default=",".join(AGGREGATOR_KINDS))
     ap.add_argument("--out", default="results/robustness")
     args = ap.parse_args()
 
@@ -34,13 +38,17 @@ def main() -> int:
     fractions = _parse_fractions(args.fractions)
     masters = list(range(args.seeds))
     aggregators = [a.strip() for a in args.aggregators.split(",") if a.strip()]
+    if not aggregators:
+        raise ConfigurationError("--aggregators names no aggregator")
+    # every name is checked before the first run
+    configs = {kind: replace(base, aggregator=replace(base.aggregator, kind=kind))
+               for kind in aggregators}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     # {aggregator: {fraction: mean final TER across masters}}
     table: dict[str, dict[float, float]] = {}
-    for kind in aggregators:
-        cfg = replace(base, aggregator=replace(base.aggregator, kind=kind))
+    for kind, cfg in configs.items():
         rows, manifests = sweep(cfg, fractions, masters)
         write_metrics_csv(out / f"metrics_{kind}.csv", rows)
         for manifest in manifests:
@@ -64,4 +72,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

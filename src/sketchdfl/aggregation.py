@@ -3,7 +3,11 @@ combines, one row per aggregator kind (a new rule is one more row there),
 from a pair layout (a star PairTable or a pool of all pairs), a screening
 space (full models, or sketch values behind sketch_filter's hash-family
 check), a selection (balance_filter's decaying threshold, krum_select_index
-or all) and a mixing (aggregate_mixed, a copy, or dfedavg_aggregate)."""
+or all) and a mixing (aggregate_mixed, a copy, or dfedavg_aggregate).
+
+Every kernel has one calling convention, the engine's: screening reads
+the squared distances of the round's PairTable (`sq`), and mixing writes
+into a row the engine owns (`out`)."""
 from __future__ import annotations
 
 import math
@@ -80,24 +84,23 @@ def gamma_eff(gamma: float, eps: float) -> float:
 
 def balance_filter(
     self_model: np.ndarray,
-    neighbor_models: Mapping[int, np.ndarray],
+    neighbor_models: Mapping[int, object],
     gamma: float,
     kappa: float,
     t: int,
     rounds: int,
-    sq: np.ndarray | None = None,
+    sq: np.ndarray,
 ) -> FilterOutcome:
     """The screening rule, on full models or sketch values alike: accept
     every neighbour within the adaptive threshold of the node's own
     vector; if none is, fall back to the single closest at a finite
     distance (lowest id on ties), and with no finite distance accept
-    nobody, so the node keeps its own model. `sq`, when given, holds the
-    squared distances to the neighbours in mapping order, as a star
-    PairTable's row gives them; else it is computed here."""
+    nobody, so the node keeps its own model. `sq` holds the squared
+    distances to the neighbours in the order `neighbor_models` lists
+    their ids, as a star PairTable's row gives them (one per id, else
+    ValueError); only those ids are read, never the mapping's values."""
     threshold = adaptive_threshold(gamma, kappa, t, rounds, _distance(self_model))
-    if sq is None:
-        sq = _sq_distances(self_model, list(neighbor_models.values()))
-    distances = dict(zip(neighbor_models, map(math.sqrt, sq.tolist())))
+    distances = dict(zip(neighbor_models, map(math.sqrt, sq.tolist()), strict=True))
     accepted = sorted(j for j, d in distances.items() if d <= threshold)
     finite = sorted(j for j, d in distances.items() if math.isfinite(d))
     if accepted or not finite:
@@ -112,37 +115,30 @@ def sketch_filter(
     kappa: float,
     t: int,
     rounds: int,
-    sq: np.ndarray | None = None,
+    sq: np.ndarray,
 ) -> FilterOutcome:
     """balance_filter run on sketch values, once every sketch is known to
-    come from the node's own hash family."""
+    come from the node's own hash family; `sq` is the star row of the
+    sketches' squared distances."""
     if any(s.fingerprint != self_sketch.fingerprint for s in neighbor_sketches.values()):
         raise ProtocolError(
             "sketch fingerprints differ; sketches come from different hash families"
         )
-    values = {j: s.values for j, s in neighbor_sketches.items()}
-    return balance_filter(self_sketch.values, values, gamma, kappa, t, rounds, sq)
+    return balance_filter(self_sketch.values, neighbor_sketches, gamma, kappa, t, rounds, sq)
 
 
 def aggregate_mixed(
     self_model: np.ndarray,
     accepted_models: Mapping[int, np.ndarray],
     alpha: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """alpha * self + (1 - alpha) * mean(accepted), summing in ascending
-    node-id order so results are bit-reproducible. Written into `out` when
-    given (which is returned, and may be self_model itself), else into a
-    new array; all give the same bits."""
+    """alpha * self + (1 - alpha) * mean(accepted) over a nonempty accepted
+    set, summing in ascending node-id order so results are
+    bit-reproducible, written into `out`, which is returned and may be
+    self_model itself."""
     if not 0 <= alpha <= 1:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-    if out is None:
-        out = np.empty_like(self_model)
-    if not accepted_models:
-        if alpha != 1.0:
-            raise ConfigurationError("empty accepted set needs alpha = 1")
-        np.copyto(out, self_model)
-        return out
     # the sum starts from +0.0, not from a copy of the first model, whose
     # -0.0 would survive where 0.0 + -0.0 gives +0.0
     acc = np.zeros_like(self_model)
@@ -157,14 +153,11 @@ def aggregate_mixed(
 def dfedavg_aggregate(
     self_model: np.ndarray,
     neighbor_models: Mapping[int, np.ndarray],
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Uniform mean over self and every neighbor, no screening. Written
-    into `out` when given (which is returned, may be self_model itself,
-    and must not be a neighbor's model), else into a new array; all give
-    the same bits."""
-    if out is None:
-        out = np.empty_like(self_model)
+    """Uniform mean over self and every neighbor, no screening, written
+    into `out`, which is returned, may be self_model itself, and must not
+    be a neighbor's model."""
     np.copyto(out, self_model)
     for j in sorted(neighbor_models):
         out += neighbor_models[j]
@@ -237,14 +230,12 @@ class PairTable:
         return table[self._positions[key][0, 1:]]
 
 
-def krum_select_index(
-    models: Sequence[np.ndarray], f: int, sq: np.ndarray | None = None
-) -> int:
+def krum_select_index(models: Sequence[np.ndarray], f: int, sq: np.ndarray) -> int:
     """Index of the model whose summed squared distance to its n-f-2
     nearest peers is smallest (first index on ties, a NaN score after
-    every number: a stable sort puts NaN last). `sq`, when given, is the
-    models' (n, n) squared-distance matrix, as a PairTable submatrix gives
-    it; else it is computed here from a one-pool PairTable."""
+    every number: a stable sort puts NaN last). `sq` is the models' (n, n)
+    squared-distance matrix, as a PairTable submatrix gives it; of
+    `models` only their count is read."""
     n = len(models)
     if f < 0:
         raise ConfigurationError(f"f must be >= 0, got {f}")
@@ -252,9 +243,6 @@ def krum_select_index(
         raise ConfigurationError(
             f"krum needs at least f+3 = {f + 3} models, got {n}"
         )
-    if sq is None:
-        pairs = PairTable({0: range(n)})
-        sq = pairs.submatrix(pairs.compute(models), 0)
     return int(np.argsort(_krum_scores(sq, n - f - 2), kind="stable")[0])
 
 

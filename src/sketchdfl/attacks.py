@@ -72,23 +72,20 @@ def apply_attack(
     honest_update: np.ndarray,
     colluding: np.ndarray | None,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Model an attacker transmits in place of its honest update.
+    """Model an attacker transmits in place of its honest update, written
+    into `out` (a C-contiguous float64 vector that is not the honest
+    update), which is returned.
 
     gaussian: independent noise per attacker, never reading `colluding`.
     directed-deviation: a copy of `colluding`, what `colluding_vector`
     built this round, ignoring both the honest update and the rng.
-
-    The transmission is written into `out` when given (a C-contiguous
-    float64 vector that is not the honest update, and is returned), else
-    into a new array; both give the same bits. kind="none" writes nothing
-    and returns honest_update itself.
+    kind="none" has nothing to apply (the engine runs no attack phase for
+    it) and is refused.
     """
     if spec.kind == "none":
-        return honest_update
-    if out is None:
-        out = np.empty_like(honest_update)
+        raise ConfigurationError("attack kind 'none' has no transmission to apply")
     if spec.kind == "directed-deviation":
         np.copyto(out, colluding)
         return out

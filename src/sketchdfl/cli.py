@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .config import emit_config, parse_config
@@ -136,8 +137,14 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "sweep": _cmd_sweep,
     }
+    return exit_code(lambda: handlers[args.command](args))
+
+
+def exit_code(command: Callable[[], int]) -> int:
+    """What `command` returns, or the exit code of the package error it
+    raises, after reporting the error on stderr."""
     try:
-        return handlers[args.command](args)
+        return command()
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

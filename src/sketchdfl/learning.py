@@ -483,12 +483,12 @@ def test_error_rate(task, models: np.ndarray, X: np.ndarray, y: np.ndarray) -> n
 
     Tasks read only `models[..., :task.active_dim]`, so a caller may pass
     just those columns: the padding never changes a score."""
+    if models.ndim != 2:
+        raise ConfigurationError(f"models must be an (n, dim) stack, got shape {models.shape}")
     N = y.shape[-1]
     if N == 0:
         raise ConfigurationError("empty held-out set")
     block = _eval_block(task, N)
-    if models.ndim == 1 or len(models) <= block:
-        return task.error_rate(models, X, y)
     shared = y.ndim == 1
     out = np.empty(len(models))
     for start in range(0, len(models), block):

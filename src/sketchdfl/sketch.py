@@ -191,7 +191,7 @@ def verify_model_against_sketch(
     params: SketchParams,
     vector: np.ndarray,
     claimed: Sketch,
-    rel_tol: float = 1e-5,
+    rel_tol: float,
 ) -> bool:
     """Recompute the sketch of a received model and compare to the claimed one.
 

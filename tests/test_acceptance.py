@@ -181,7 +181,7 @@ def test_criterion_03_gamma_eff_formula():
            f"max |gamma_eff(g, 0.1) - 1.1055 g| = {worst:.2e}")
 
 
-def test_criterion_04_filter_equivalence_outside_band():
+def test_criterion_04_filter_equivalence_outside_band(pair_sq):
     dim, width = 512, 256
     gamma, kappa, t, rounds = 1.5, 1.0, 2, 10
     root = np.random.default_rng(20260816)
@@ -199,12 +199,12 @@ def test_criterion_04_filter_equivalence_outside_band():
             direction = rng.standard_normal(dim)
             direction /= np.linalg.norm(direction)
             models[j] = ref + frac * tau * direction
-        full = balance_filter(ref, models, gamma, kappa, t, rounds)
-        sk = sketch_filter(
-            compute_sketch(params, ref),
-            {j: compute_sketch(params, w) for j, w in models.items()},
-            gamma, kappa, t, rounds,
-        )
+        full = balance_filter(ref, models, gamma, kappa, t, rounds,
+                              pair_sq([ref, *models.values()], star=True))
+        own = compute_sketch(params, ref)
+        sketches = {j: compute_sketch(params, w) for j, w in models.items()}
+        sk = sketch_filter(own, sketches, gamma, kappa, t, rounds,
+                           pair_sq([own.values, *(s.values for s in sketches.values())], star=True))
         mismatches += full.accepted != sk.accepted
     report(4, "filter equivalence", mismatches == 0,
            f"{fixtures - mismatches}/{fixtures} acceptance sets identical "

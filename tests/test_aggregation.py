@@ -58,42 +58,46 @@ def test_gamma_eff():
         gamma_eff(2.0, -0.1)
 
 
-def test_balance_filter_boundary_inclusive():
+def test_balance_filter_boundary_inclusive(pair_sq):
     me = np.array([1.0, 0.0])  # norm 1
     neighbors = {
         3: np.array([1.0, 2.0]),   # distance 2, exactly at threshold
         5: np.array([1.0, 2.001]), # just outside
         7: np.array([1.0, 0.1]),   # well inside
     }
-    out = balance_filter(me, neighbors, gamma=2.0, kappa=0.0, t=0, rounds=10)
+    out = balance_filter(me, neighbors, gamma=2.0, kappa=0.0, t=0, rounds=10,
+                         sq=pair_sq([me, *neighbors.values()], star=True))
     assert out.accepted == [3, 7]
     assert not out.fallback_used
     assert out.threshold == 2.0
     assert out.distances[5] == pytest.approx(2.001)
 
 
-def test_filter_fallback_picks_nearest_lowest_id_on_tie():
+def test_filter_fallback_picks_nearest_lowest_id_on_tie(pair_sq):
     me = np.array([0.001, 0.0])  # tiny norm so nobody clears the threshold
     neighbors = {9: np.array([3.0, 0.0]), 2: np.array([4.0, 0.0])}
-    out = balance_filter(me, neighbors, gamma=1.0, kappa=0.0, t=0, rounds=5)
+    out = balance_filter(me, neighbors, gamma=1.0, kappa=0.0, t=0, rounds=5,
+                         sq=pair_sq([me, *neighbors.values()], star=True))
     assert out.fallback_used
     assert out.accepted == [9]  # strictly nearest wins regardless of id
     tied = {4: np.array([2.001, 0.0]), 1: np.array([-1.999, 0.0])}
-    out2 = balance_filter(me, tied, gamma=1.0, kappa=0.0, t=0, rounds=5)
+    out2 = balance_filter(me, tied, gamma=1.0, kappa=0.0, t=0, rounds=5,
+                          sq=pair_sq([me, *tied.values()], star=True))
     assert out2.fallback_used and out2.accepted == [1]  # equal distance: low id
 
 
 @pytest.mark.parametrize("screen", ["balance", "sketch"])
-def test_filter_fallback_never_picks_a_nan_distance(screen):
+def test_filter_fallback_never_picks_a_nan_distance(screen, pair_sq):
     # a NaN is never "less than" anything, so min() over the ids would keep
     # a NaN neighbour with the lowest id; the fallback takes the nearest
     # finite distance, and with none finite it accepts nobody
     def fallback(neighbors):
         me = np.zeros(4)  # norm 0: nobody clears the threshold
+        sq = pair_sq([me, *neighbors.values()], star=True)
         if screen == "sketch":  # the same vectors as sketch values
             me, neighbors = Sketch(me, 0), {j: Sketch(v, 0) for j, v in neighbors.items()}
         out = (balance_filter if screen == "balance" else sketch_filter)(
-            me, neighbors, gamma=0.1, kappa=0.0, t=0, rounds=1)
+            me, neighbors, gamma=0.1, kappa=0.0, t=0, rounds=1, sq=sq)
         return out.accepted, out.fallback_used
 
     nan, inf, far, near = (np.full(4, v) for v in (np.nan, np.inf, 10.0, 5.0))
@@ -104,21 +108,57 @@ def test_filter_fallback_never_picks_a_nan_distance(screen):
     assert fallback({3: inf, 6: -inf}) == ([], False)
 
 
-def test_filter_empty_neighborhood_stays_empty():
-    out = balance_filter(np.ones(3), {}, gamma=2.0, kappa=1.0, t=0, rounds=5)
+def test_filter_empty_neighborhood_stays_empty(pair_sq):
+    me = np.ones(3)
+    out = balance_filter(me, {}, gamma=2.0, kappa=1.0, t=0, rounds=5,
+                         sq=pair_sq([me], star=True))
     assert out.accepted == [] and not out.fallback_used
 
 
-def test_sketch_filter_matches_balance_on_equal_inputs():
+class IdsOnly(dict):
+    """A neighbour mapping whose values must never be read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"neighbour {key}'s value was read")
+
+    def values(self):
+        raise AssertionError("neighbour values were read")
+
+    def items(self):
+        raise AssertionError("neighbour values were read")
+
+    def get(self, key, default=None):
+        raise AssertionError(f"neighbour {key}'s value was read")
+
+
+def test_balance_filter_reads_only_the_neighbour_ids(pair_sq):
+    # sketch_filter hands its sketches through in this mapping: distances
+    # come from `sq`, matched to the ids in the order the mapping lists them
+    me = np.array([3.0, 4.0])  # norm 5
+    neighbors = {8: me + [0.0, 1.0], 2: me + [0.0, 9.0], 5: me + [6.0, 8.0]}
+    sq = pair_sq([me, *neighbors.values()], star=True)
+    out = balance_filter(me, IdsOnly(dict.fromkeys(neighbors)), 1.0, 0.0, 0, 1, sq)
+    assert out.distances == {8: 1.0, 2: 9.0, 5: 10.0}
+    assert list(out.distances) == [8, 2, 5]
+    assert (out.accepted, out.fallback_used) == ([8], False)
+    far = balance_filter(me, IdsOnly(dict.fromkeys(neighbors)), 0.1, 0.0, 0, 1, sq)
+    assert (far.accepted, far.fallback_used) == ([8], True)
+    for wrong in (sq[:2], np.append(sq, 1.0)):  # one distance per id
+        with pytest.raises(ValueError):
+            balance_filter(me, IdsOnly(dict.fromkeys(neighbors)), 1.0, 0.0, 0, 1, wrong)
+
+
+def test_sketch_filter_matches_balance_on_equal_inputs(pair_sq):
     # sketches replace models; same rule, distances now in sketch space
     params = SketchParams(dim=60, width=60, seed=0)
     rng = np.random.default_rng(0)
     me = rng.normal(size=60)
     neighbors = {j: me + rng.normal(size=60) * s for j, s in [(1, 0.1), (2, 5.0)]}
-    out = sketch_filter(
-        compute_sketch(params, me),
-        {j: compute_sketch(params, w) for j, w in neighbors.items()},
-        gamma=2.0, kappa=1.0, t=0, rounds=10)
+    own = compute_sketch(params, me)
+    sketches = {j: compute_sketch(params, w) for j, w in neighbors.items()}
+    sq = pair_sq([own.values, *(s.values for s in sketches.values())], star=True)
+    out = sketch_filter(own, sketches, gamma=2.0, kappa=1.0, t=0, rounds=10, sq=sq)
+    assert out == balance_filter(own.values, sketches, 2.0, 1.0, 0, 10, sq)
     assert out.accepted == [1]
     assert not out.fallback_used
 
@@ -129,18 +169,20 @@ def test_sketch_filter_rejects_foreign_family():
     w = np.ones(30)
     with pytest.raises(ProtocolError):
         sketch_filter(compute_sketch(a, w), {1: compute_sketch(b, w)},
-                      gamma=2.0, kappa=1.0, t=0, rounds=10)
+                      gamma=2.0, kappa=1.0, t=0, rounds=10, sq=np.zeros(1))
 
 
-def test_sketch_filter_distances_match_per_pair_sketch_distance_bitwise():
-    # one batched (deg, k) pass must give each neighbour the bits of its own
-    # sketch_distance call; k = 1000 reaches numpy's unrolled pairwise sum
+def test_sketch_filter_distances_match_per_pair_sketch_distance_bitwise(pair_sq):
+    # the star row's batched (deg, k) pass must give each neighbour the bits
+    # of its own sketch_distance call; k = 1000 reaches numpy's unrolled
+    # pairwise sum
     params = SketchParams(dim=20_000, width=1000, seed=4)
     rng = np.random.default_rng(4)
     me = compute_sketch(params, rng.normal(size=20_000))
     nbrs = {j: compute_sketch(params, rng.normal(scale=10.0 ** (j - 8), size=20_000))
             for j in (3, 9, 1, 16, 12)}
-    out = sketch_filter(me, nbrs, gamma=1.0, kappa=1.0, t=0, rounds=5)
+    sq = pair_sq([me.values, *(s.values for s in nbrs.values())], star=True)
+    out = sketch_filter(me, nbrs, gamma=1.0, kappa=1.0, t=0, rounds=5, sq=sq)
     assert list(out.distances) == list(nbrs)
     for j, s in nbrs.items():
         assert out.distances[j] == sketch_distance(me, s)
@@ -153,32 +195,33 @@ def test_sketch_filter_rejects_one_foreign_sketch_among_many():
     w = np.ones(30)
     nbrs = {1: compute_sketch(a, w), 2: compute_sketch(b, w), 3: compute_sketch(a, 2 * w)}
     with pytest.raises(ProtocolError):
-        sketch_filter(compute_sketch(a, w), nbrs, gamma=2.0, kappa=1.0, t=0, rounds=10)
+        sketch_filter(compute_sketch(a, w), nbrs, gamma=2.0, kappa=1.0, t=0, rounds=10,
+                      sq=np.zeros(3))
 
 
 def test_aggregate_mixed_known_value():
     me = np.array([1.0, 1.0])
     accepted = {2: np.array([3.0, 1.0]), 0: np.array([1.0, 3.0])}
-    out = aggregate_mixed(me, accepted, alpha=0.5)
+    out = aggregate_mixed(me, accepted, alpha=0.5, out=np.empty(2))
     np.testing.assert_allclose(out, [1.5, 1.5])
 
 
 def test_aggregate_mixed_alpha_extremes():
     me = np.array([2.0, 4.0])
     accepted = {1: np.array([6.0, 0.0])}
-    np.testing.assert_array_equal(aggregate_mixed(me, accepted, 1.0), me)
-    np.testing.assert_array_equal(aggregate_mixed(me, accepted, 0.0), [6.0, 0.0])
-    np.testing.assert_array_equal(aggregate_mixed(me, {}, 1.0), me)
-    with pytest.raises(ConfigurationError):
-        aggregate_mixed(me, {}, 0.5)
+    np.testing.assert_array_equal(aggregate_mixed(me, accepted, 1.0, np.empty(2)), me)
+    np.testing.assert_array_equal(aggregate_mixed(me, accepted, 0.0, np.empty(2)), [6.0, 0.0])
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ConfigurationError):
+            aggregate_mixed(me, accepted, alpha, np.empty(2))
 
 
 def test_aggregate_mixed_is_order_stable():
     rng = np.random.default_rng(1)
     me = rng.normal(size=50)
     models = {j: rng.normal(size=50) for j in range(12)}
-    a = aggregate_mixed(me, models, 0.5)
-    b = aggregate_mixed(me, dict(reversed(list(models.items()))), 0.5)
+    a = aggregate_mixed(me, models, 0.5, np.empty(50))
+    b = aggregate_mixed(me, dict(reversed(list(models.items()))), 0.5, np.empty(50))
     np.testing.assert_array_equal(a, b)
 
 
@@ -187,15 +230,15 @@ def test_aggregate_mixed_is_order_stable():
 def test_aggregate_mixed_stays_in_convex_hull(alpha):
     me = np.array([0.0])
     accepted = {1: np.array([1.0]), 2: np.array([2.0])}
-    out = aggregate_mixed(me, accepted, alpha)
+    out = aggregate_mixed(me, accepted, alpha, np.empty(1))
     assert 0.0 - 1e-12 <= out[0] <= 2.0 + 1e-12
 
 
 def test_dfedavg_uniform_mean():
     me = np.array([0.0, 3.0])
-    out = dfedavg_aggregate(me, {1: np.array([3.0, 0.0]), 2: np.array([3.0, 3.0])})
+    out = dfedavg_aggregate(me, {1: np.array([3.0, 0.0]), 2: np.array([3.0, 3.0])}, np.empty(2))
     np.testing.assert_allclose(out, [2.0, 2.0])
-    np.testing.assert_array_equal(dfedavg_aggregate(me, {}), me)
+    np.testing.assert_array_equal(dfedavg_aggregate(me, {}, np.empty(2)), me)
 
 
 def _signed_zero_models(rng, d=64):
@@ -215,9 +258,11 @@ def _frozen(me, neighbours):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_aggregate_mixed_into_out_is_bitwise_the_allocating_call(alpha):
+    # whatever `out` holds, or whether it is self_model, the bits are those
+    # of a call into a freshly allocated array
     me, accepted = _signed_zero_models(np.random.default_rng(5))
     before = _frozen(me, accepted)
-    want = aggregate_mixed(me, accepted, alpha)
+    want = aggregate_mixed(me, accepted, alpha, np.empty_like(me))
     # the formula as first written, with every operation spelled out
     acc = np.zeros_like(me)
     for j in sorted(accepted):
@@ -234,16 +279,12 @@ def test_aggregate_mixed_into_out_is_bitwise_the_allocating_call(alpha):
     mine = me.copy()
     assert aggregate_mixed(mine, accepted, alpha, out=mine) is mine
     assert mine.tobytes() == want.tobytes()
-    if alpha == 1.0:
-        buf = np.full_like(me, np.nan)
-        assert aggregate_mixed(me, {}, alpha, out=buf) is buf
-        assert buf.tobytes() == me.tobytes() == aggregate_mixed(me, {}, alpha).tobytes()
 
 
 def test_dfedavg_into_out_is_bitwise_the_allocating_call():
     me, neighbours = _signed_zero_models(np.random.default_rng(6))
     before = _frozen(me, neighbours)
-    want = dfedavg_aggregate(me, neighbours)
+    want = dfedavg_aggregate(me, neighbours, np.empty_like(me))
     acc = me.copy()
     for j in sorted(neighbours):
         acc += neighbours[j]
@@ -259,16 +300,16 @@ def test_dfedavg_into_out_is_bitwise_the_allocating_call():
     assert mine.tobytes() == want.tobytes()
 
 
-def test_krum_picks_cluster_member_not_outlier():
+def test_krum_picks_cluster_member_not_outlier(pair_sq):
     rng = np.random.default_rng(2)
     cluster = [rng.normal(0, 0.01, 10) for _ in range(5)]
     outliers = [rng.normal(50, 0.01, 10), rng.normal(-50, 0.01, 10)]
     models = cluster + outliers
-    idx = krum_select_index(models, f=2)
+    idx = krum_select_index(models, f=2, sq=pair_sq(models))
     assert idx < 5
 
 
-def test_krum_matches_bruteforce_reference():
+def test_krum_matches_bruteforce_reference(pair_sq):
     # reference scorer written with plain loops, no shared code
     def reference(models, f):
         n = len(models)
@@ -287,11 +328,11 @@ def test_krum_matches_bruteforce_reference():
     for trial in range(20):
         models = [rng.normal(size=6) for _ in range(rng.integers(4, 9))]
         f = int(rng.integers(0, len(models) - 2))
-        assert krum_select_index(models, f) == reference(models, f)
+        assert krum_select_index(models, f, pair_sq(models)) == reference(models, f)
 
 
 @pytest.mark.parametrize("bad", [0, 2, 5])
-def test_krum_never_picks_a_nan_score(bad):
+def test_krum_never_picks_a_nan_score(bad, pair_sq):
     # argmin returns the first NaN; a NaN score ranks after every number,
     # so an all-NaN model is passed over just as a far finite one is
     rng = np.random.default_rng(bad)
@@ -300,26 +341,26 @@ def test_krum_never_picks_a_nan_score(bad):
     models[bad][:] = np.nan
     far[bad][:] = 1e6
     for f in range(4):
-        got = krum_select_index(models, f)
+        got = krum_select_index(models, f, pair_sq(models))
         assert got != bad
-        assert got == krum_select_index(far, f)
-    assert krum_select_index([np.full(10, np.nan)] * 5, 1) == 0  # all NaN: first index
+        assert got == krum_select_index(far, f, pair_sq(far))
+    nan = [np.full(10, np.nan)] * 5
+    assert krum_select_index(nan, 1, pair_sq(nan)) == 0  # all NaN: first index
 
 
 def test_krum_pairwise_stage_matches_broadcast_bitwise():
-    # d above OpenBLAS's 10,000-element threading cut-off; krum_select_index
-    # without `sq` builds its matrix from this one-pool table
+    # d above OpenBLAS's 10,000-element threading cut-off
     stack = np.random.default_rng(11).normal(size=(17, 12_000))
     reference = ((stack[:, None] - stack[None]) ** 2).sum(axis=2)
     pairs = PairTable({0: range(len(stack))})
     assert pairs.submatrix(pairs.compute(list(stack)), 0).tobytes() == reference.tobytes()
 
 
-def test_full_and_sketch_distances_match_sum_of_squares_bitwise():
+def test_full_and_sketch_distances_match_sum_of_squares_bitwise(pair_sq):
     rng = np.random.default_rng(12)
     me = rng.normal(size=20_000)
     nbrs = {j: me + rng.normal(scale=j, size=20_000) for j in (1, 2, 3)}
-    out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5)
+    out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5, pair_sq([me, *nbrs.values()], star=True))
     assert out.threshold == 2.0 * np.sqrt(np.sum(me**2))
     for j, w in nbrs.items():
         assert out.distances[j] == np.sqrt(np.sum((me - w) ** 2))
@@ -377,7 +418,7 @@ def test_pair_table_matches_the_stacked_pool_bitwise():
         assert sub.tobytes() == stacked.tobytes()
         models = [vectors[v] for v in ids]
         for f in range(len(ids) - 2):
-            assert krum_select_index(models, f, sq=sub) == krum_select_index(models, f)
+            assert krum_select_index(models, f, sub) == krum_select_index(models, f, stacked)
 
 
 def test_pair_table_keeps_krum_choice_on_inf_and_nan():
@@ -398,7 +439,7 @@ def test_pair_table_keeps_krum_choice_on_inf_and_nan():
             sub = table.submatrix(flat, key)
             assert np.array_equal(sub, stacked, equal_nan=True)
             for f in range(len(ids) - 2):
-                assert krum_select_index(models, f, sq=sub) == krum_select_index(models, f)
+                assert krum_select_index(models, f, sub) == krum_select_index(models, f, stacked)
     assert np.isnan(flat).any() and np.isinf(flat).any()
 
 
@@ -422,44 +463,12 @@ def test_pair_table_batches_bitwise_and_holds_only_needed_pairs(monkeypatch):
         assert table.submatrix(flat, key).tobytes() == want.tobytes()
 
 
-def _star_row(me, neighbors):
-    """Squared distances from `me` to `neighbors`, in mapping order, read
-    from a star PairTable. `me` takes the highest id, so every pair is
-    anchored on the neighbour: the row holds (a - b)² where the filters
-    compute (b - a)²."""
-    me_id = max(neighbors, default=-1) + 1
-    vectors = [me] * (me_id + 1)
-    for j, w in neighbors.items():
-        vectors[j] = w
-    pairs = PairTable({0: [me_id, *neighbors]}, star=True)
-    return pairs.row(pairs.compute(vectors), 0)
-
-
-@pytest.mark.parametrize("spread, fallback", [(0.1, False), (100.0, True)])
-def test_filters_given_a_table_row_match_the_call_without(spread, fallback):
-    # spread 100 puts every neighbour outside the threshold: the fallback
-    rng = np.random.default_rng(25)
-    me = rng.normal(size=3_000)
-    step = rng.normal(scale=spread, size=3_000)
-    cases = [{}, {5: me + step},
-             {11: me + step, 3: me - step, 4: me + 2 * step, 0: me + 3 * step}]
-    for neighbors in cases:
-        row = _star_row(me, neighbors)
-        want = balance_filter(me, neighbors, 0.5, 1.0, 1, 4)
-        assert want.fallback_used == (fallback and bool(neighbors))
-        assert balance_filter(me, neighbors, 0.5, 1.0, 1, 4, row) == want
-        sketches = {j: Sketch(w, fingerprint=7) for j, w in neighbors.items()}
-        want = sketch_filter(Sketch(me, 7), sketches, 0.5, 1.0, 1, 4)
-        assert sketch_filter(Sketch(me, 7), sketches, 0.5, 1.0, 1, 4, row) == want
-    assert want.accepted in ([[3], [11]] if fallback else [[0, 3, 4, 11]])
-
-
-def test_krum_needs_enough_models():
+def test_krum_needs_enough_models(pair_sq):
     models = [np.zeros(3)] * 4
     with pytest.raises(ConfigurationError):
-        krum_select_index(models, f=2)  # needs f+3 = 5
+        krum_select_index(models, f=2, sq=pair_sq(models))  # needs f+3 = 5
     with pytest.raises(ConfigurationError):
-        krum_select_index(models, f=-1)
+        krum_select_index(models, f=-1, sq=pair_sq(models))
 
 
 def test_aggregator_spec_validation():

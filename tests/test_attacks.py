@@ -49,18 +49,21 @@ class Sealed:
         raise AssertionError(f"colluding vector's {name} was read")
 
 
-def test_none_attack_returns_input_unchanged():
-    w = np.arange(8.0)
-    out = apply_attack(AttackSpec(kind="none"), w, None, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, w)
+def test_none_attack_has_no_transmission_to_apply():
+    # the engine runs no attack phase for kind="none": attackers send their
+    # honest update
+    w, out = np.arange(8.0), np.full(8, np.nan)
+    with pytest.raises(ConfigurationError):
+        apply_attack(AttackSpec(kind="none"), w, Sealed(), np.random.default_rng(0), out)
+    assert np.isnan(out).all()
 
 
 def test_gaussian_attack_adds_seeded_noise():
     w = np.zeros(500)
     spec = AttackSpec(kind="gaussian", sigma=2.0)
-    a = apply_attack(spec, w, None, np.random.default_rng(42))
-    b = apply_attack(spec, w, None, np.random.default_rng(42))
-    c = apply_attack(spec, w, None, np.random.default_rng(43))
+    a = apply_attack(spec, w, None, np.random.default_rng(42), np.empty(500))
+    b = apply_attack(spec, w, None, np.random.default_rng(42), np.empty(500))
+    c = apply_attack(spec, w, None, np.random.default_rng(43), np.empty(500))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert abs(a.std() - 2.0) < 0.3
@@ -73,7 +76,7 @@ def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
     w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
     before = w.copy()
     got = apply_attack(AttackSpec(kind="gaussian", sigma=sigma), w, None,
-                       np.random.default_rng(8))
+                       np.random.default_rng(8), np.empty_like(w))
     want = w + sigma * np.random.default_rng(8).standard_normal(w.shape)
     assert got.tobytes() == want.tobytes()
     assert w.tobytes() == before.tobytes()
@@ -85,12 +88,13 @@ def test_gaussian_attack_is_bitwise_honest_plus_scaled_noise(sigma):
                          ids=["gaussian-1.0", "gaussian-0.3", "directed-deviation"])
 def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
     # the engine writes each attacker's transmission into its row of the
-    # stack that settlement writes
+    # stack that settlement writes: the bits of a call into a freshly
+    # allocated array, and no other row touched
     rng = np.random.default_rng(9)
     w = rng.normal(size=5_000) * 10.0 ** rng.uniform(-8, 8, size=5_000)
     before = w.copy()
     c = colluding(5_000, lam=spec.lam) if spec.kind == "directed-deviation" else None
-    want = apply_attack(spec, w, c, np.random.default_rng(4))
+    want = apply_attack(spec, w, c, np.random.default_rng(4), np.empty_like(w))
     stack = np.full((3, 5_000), np.nan)
     got = apply_attack(spec, w, c, np.random.default_rng(4), out=stack[1])
     assert np.shares_memory(got, stack[1]) and got.shape == (5_000,)
@@ -99,18 +103,11 @@ def test_attack_into_out_row_is_bitwise_the_allocating_call(spec):
     assert w.tobytes() == before.tobytes()
 
 
-def test_none_attack_writes_nothing_into_out():
-    w, out = np.arange(8.0), np.full(8, np.nan)
-    assert apply_attack(AttackSpec(kind="none"), w, None, np.random.default_rng(0),
-                        out=out) is w
-    assert np.isnan(out).all()
-
-
 def test_gaussian_attackers_are_independent():
     w = np.zeros(100)
     spec = AttackSpec(kind="gaussian", sigma=1.0)
-    one = apply_attack(spec, w, None, np.random.default_rng(1))
-    two = apply_attack(spec, w, None, np.random.default_rng(2))
+    one = apply_attack(spec, w, None, np.random.default_rng(1), np.empty(100))
+    two = apply_attack(spec, w, None, np.random.default_rng(2), np.empty(100))
     assert not np.array_equal(one, two)
 
 
@@ -121,8 +118,8 @@ def test_directed_deviation_formula_and_collusion():
     spec = AttackSpec(kind="directed-deviation", lam=2.5)
     honest_a = np.random.default_rng(5).normal(size=30)
     honest_b = np.random.default_rng(6).normal(size=30)
-    out_a = apply_attack(spec, honest_a, c, np.random.default_rng(1))
-    out_b = apply_attack(spec, honest_b, c, np.random.default_rng(2))
+    out_a = apply_attack(spec, honest_a, c, np.random.default_rng(1), np.empty(30))
+    out_b = apply_attack(spec, honest_b, c, np.random.default_rng(2), np.empty(30))
     want = mean_now - 2.5 * np.sign(mean_now - mean_start)
     np.testing.assert_array_equal(out_a, want)
     np.testing.assert_array_equal(out_a, out_b)  # colluding: same vector for all
@@ -134,7 +131,7 @@ def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
     trained, start = honest_rows(dim, m)
     spec = AttackSpec(kind="directed-deviation", lam=0.3)
     c = colluding_vector(spec, trained, round_start_mean(spec, start))
-    out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0))
+    out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0), np.empty(dim))
     mean_now = np.stack(trained).mean(axis=0)
     direction = mean_now - np.stack(start).mean(axis=0)
     want = mean_now - 0.3 * np.sign(direction)
@@ -164,10 +161,10 @@ def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
     assert got.tobytes() == np.stack(start).mean(axis=0).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["none", "gaussian"])
+@pytest.mark.parametrize("kind", ["gaussian"])
 def test_independent_attacks_never_read_collusion_state(kind):
     w = np.arange(20.0)
-    apply_attack(AttackSpec(kind=kind), w, Sealed(), np.random.default_rng(0))
+    apply_attack(AttackSpec(kind=kind), w, Sealed(), np.random.default_rng(0), np.empty(20))
 
 
 def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
@@ -237,7 +234,7 @@ def test_consistent_sketch_survives_verification():
     sk = attacker_message(
         AttackSpec(kind="gaussian", consistent_sketch=True), params, sent,
         compute_sketch(params, pre))
-    assert verify_model_against_sketch(params, sent, sk)
+    assert verify_model_against_sketch(params, sent, sk, AggregatorSpec().rel_tol)
 
 
 def test_inconsistent_sketch_is_caught_by_verification():
@@ -249,5 +246,6 @@ def test_inconsistent_sketch_is_caught_by_verification():
     sk = attacker_message(
         AttackSpec(kind="gaussian", consistent_sketch=False), params, sent, own)
     assert sk is own  # advertises the innocent model's sketch, folded once
-    assert verify_model_against_sketch(params, pre, sk)
-    assert not verify_model_against_sketch(params, sent, sk)
+    rel_tol = AggregatorSpec().rel_tol
+    assert verify_model_against_sketch(params, pre, sk, rel_tol)
+    assert not verify_model_against_sketch(params, sent, sk, rel_tol)

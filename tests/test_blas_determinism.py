@@ -31,10 +31,11 @@ from sketchdfl.sketch import Sketch, sketch_distance
 rng = np.random.default_rng(5)
 me = rng.normal(size=20_000)
 nbrs = {j: me + rng.normal(scale=0.1 * j, size=20_000) for j in range(1, 5)}
-out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5)
-print(repr(out.threshold), repr(out.distances))
 pairs = PairTable({0: range(1 + len(nbrs))})
-print(pairs.submatrix(pairs.compute([me, *nbrs.values()]), 0).tobytes().hex())
+sq = pairs.submatrix(pairs.compute([me, *nbrs.values()]), 0)
+print(sq.tobytes().hex())
+out = balance_filter(me, nbrs, 2.0, 1.0, 0, 5, sq[0, 1:])
+print(repr(out.threshold), repr(out.distances))
 a, b = Sketch(me, fingerprint=1), Sketch(nbrs[1], fingerprint=1)
 print(repr(a.norm()), repr(sketch_distance(a, b)))
 for n, cols in ((16, 128), (48, 33)):

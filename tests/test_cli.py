@@ -10,6 +10,7 @@ import pytest
 
 import sketchdfl.cli as cli
 import sketchdfl.engine as engine
+from sketchdfl.aggregation import AGGREGATOR_KINDS
 from sketchdfl.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -320,18 +321,56 @@ def test_readme_names_only_commands_that_exist(capsys):
     assert [s for s in sorted(scripts) if not (README.parent / s).is_file()] == []
 
 
-def test_robustness_sweep_script_writes_a_csv_per_aggregator_and_a_table(tmp_path):
+def _robustness_sweep(*args, config=ROOT / "configs" / "robustness.ini"):
     # the script reaches the private cli._parse_fractions, so run it whole
-    out = tmp_path / "rob"
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "robustness_sweep.py"),
-         "--config", str(ROOT / "configs" / "robustness.ini"), "--fractions", "0,0.2",
-         "--seeds", "1", "--aggregators", "sketchfilter,balance", "--out", str(out)],
+         "--config", str(config), *args],
         capture_output=True, text=True, timeout=300,
     )
+
+
+def test_robustness_sweep_script_writes_a_csv_per_aggregator_and_a_table(tmp_path):
+    out = tmp_path / "rob"
+    done = _robustness_sweep("--fractions", "0,0.2", "--seeds", "1",
+                             "--aggregators", "sketchfilter,balance", "--out", str(out))
     assert done.returncode == 0, done.stderr
     for kind in ("sketchfilter", "balance"):
         # 2 fractions x 1 seed x 10 rounds, under a header
         assert len((out / f"metrics_{kind}.csv").read_text().splitlines()) == 1 + 20
     table = done.stdout.split("byz_frac", 1)[1].splitlines()[1:]  # the rows under the header
     assert [row.split()[0] for row in table] == ["0.00", "0.20"]
+
+
+def test_robustness_sweep_script_runs_every_aggregator_by_default(tmp_path):
+    out = tmp_path / "rob"
+    done = _robustness_sweep("--fractions", "0", "--seeds", "1", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.glob("metrics_*.csv")) == sorted(
+        f"metrics_{kind}.csv" for kind in AGGREGATOR_KINDS)
+    header = done.stdout.split("byz_frac", 1)[1].splitlines()[0]
+    assert header.split() == list(AGGREGATOR_KINDS)
+
+
+@pytest.mark.parametrize("names, message", [
+    ("sketchfilter,median", "unknown aggregator 'median'"),  # after a valid name
+    (" , ", "--aggregators names no aggregator"),
+])
+def test_robustness_sweep_script_config_error_exits_2_before_any_run(tmp_path, names, message):
+    out = tmp_path / "rob"
+    done = _robustness_sweep("--aggregators", names, "--out", str(out))
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.startswith(f"configuration error: {message}")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()
+
+
+def test_robustness_sweep_script_unbuildable_topology_exits_3(tmp_path):
+    # p this small never yields a connected graph within the attempt budget
+    cfg = tmp_path / "sparse.ini"
+    cfg.write_text("[topology]\nkind = erdos-renyi\np = 0.001\n\n[run]\nnodes = 20\nrounds = 1\n")
+    done = _robustness_sweep("--fractions", "0", "--seeds", "1", "--aggregators", "balance",
+                             "--out", str(tmp_path / "rob"), config=cfg)
+    assert done.returncode == EXIT_INVARIANT
+    assert done.stderr.startswith("invariant violation: no connected Erdos-Renyi graph")
+    assert "Traceback" not in done.stderr

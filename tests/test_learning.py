@@ -315,11 +315,11 @@ def test_logistic_trains_to_low_error_on_separable_blobs():
     data = generate_federated_data(spec, 1, seed=2)
     task = make_task(spec, data)
     w = task.init_model(np.random.default_rng(0))
-    start = held_out_error(task, w, data.test_features, data.test_labels)
+    [start] = held_out_error(task, w[None], data.test_features, data.test_labels)
     for _ in range(8):
         w = train_one(task, w, data.features[0], data.labels[0], lr=0.2, epochs=1, batch_size=32,
                       rng=np.random.default_rng(1))
-    end = held_out_error(task, w, data.test_features, data.test_labels)
+    [end] = held_out_error(task, w[None], data.test_features, data.test_labels)
     assert start > 0.5  # all-zero model guesses a fixed class
     assert end < 0.1
 
@@ -330,7 +330,7 @@ def test_tiny_mlp_init_breaks_symmetry_and_error_in_range():
     task = make_task(spec, data)
     w = task.init_model(np.random.default_rng(5))
     assert np.std(w[: task.active_dim]) > 0
-    ter = held_out_error(task, w, data.test_features, data.test_labels)
+    [ter] = held_out_error(task, w[None], data.test_features, data.test_labels)
     assert 0.0 <= ter <= 1.0
 
 
@@ -380,7 +380,7 @@ def test_logistic_error_rate_is_argmax_on_integer_models_and_features():
     X, y = design(300), rng.integers(0, 4, size=300)
     want = argmax_error(X @ W.swapaxes(-1, -2), y)
     assert held_out_error(task, models, X, y).tobytes() == want.tobytes()
-    assert held_out_error(task, models[2], X, y).tobytes() == want[2].tobytes()
+    assert held_out_error(task, models[2:3], X, y).tobytes() == want[2:3].tobytes()
     Xs, ys = design(5, 300), rng.integers(0, 4, size=(5, 300))
     want = argmax_error(Xs @ W.swapaxes(-1, -2), ys)
     assert held_out_error(task, models, Xs, ys).tobytes() == want.tobytes()
@@ -422,7 +422,15 @@ def test_column_max_softmax_is_bitwise_the_row_max_expression():
 def test_error_rate_rejects_empty_test_set():
     _, data, task = build("logistic", features=4, classes=3)
     with pytest.raises(ConfigurationError):
-        held_out_error(task, np.zeros(task.dim), data.test_features[:0], data.test_labels[:0])
+        held_out_error(task, np.zeros((1, task.dim)), data.test_features[:0],
+                       data.test_labels[:0])
+
+
+def test_error_rate_rejects_a_single_model_vector():
+    # blocks of a 1-D vector would be slices of coordinates, scored as models
+    _, data, task = build("logistic", features=4, classes=3)
+    with pytest.raises(ConfigurationError, match="stack"):
+        held_out_error(task, np.zeros(task.dim), data.test_features, data.test_labels)
 
 
 def test_task_spec_validation():

@@ -207,13 +207,13 @@ def test_verify_accepts_honest_and_rejects_tampered():
     rng = np.random.default_rng(9)
     w = rng.normal(size=300)
     claimed = compute_sketch(params, w)
-    assert verify_model_against_sketch(params, w, claimed)
+    assert verify_model_against_sketch(params, w, claimed, rel_tol=1e-5)
     # the recompute is bit-identical, so an honest pair passes with no
     # tolerance at all, which is why the engine does not re-check honest senders
     assert verify_model_against_sketch(params, w, claimed, rel_tol=0.0)
     tampered = w.copy()
     tampered[:50] += 1.0
-    assert not verify_model_against_sketch(params, tampered, claimed)
+    assert not verify_model_against_sketch(params, tampered, claimed, rel_tol=1e-5)
 
 
 def test_verify_tolerates_sub_tolerance_noise():
@@ -230,7 +230,7 @@ def test_verify_family_mismatch_raises():
     other = SketchParams(dim=100, width=10, seed=99)
     w = np.ones(100)
     with pytest.raises(ProtocolError):
-        verify_model_against_sketch(other, w, compute_sketch(params, w))
+        verify_model_against_sketch(other, w, compute_sketch(params, w), rel_tol=1e-5)
 
 
 def test_verify_negative_tolerance_rejected():
