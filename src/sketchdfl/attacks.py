@@ -3,59 +3,31 @@
 Attacks corrupt only what a compromised node sends; its own training and
 aggregation stay honest. With kind="none" and consistent_sketch=True a
 compromised node is therefore indistinguishable from an honest one.
+
+Every other kind is a row of ATTACKS with three parts: `start(spec,
+honest round-start rows)`, read before training; `shared(spec, honest
+trained rows, start's state)`, one read-only vector a round, built on the
+main thread before any attacker runs; and `send(spec, honest update,
+shared, rng, out)`, which writes the transmission. A part the kind does
+not need is None, and nothing is read for it. A new attack is one more
+row, written first in tests/reference_sim.py; a row that needs the hash
+family builds its own SketchParams.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .sketch import Sketch, SketchParams, compute_sketch
 
-ATTACK_KINDS = ("none", "gaussian", "directed-deviation")
 
-
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: str = "none"
-    sigma: float = 1.0            # gaussian: noise std per coordinate
-    lam: float = 2.0              # directed-deviation: step against the honest direction
-    consistent_sketch: bool = True  # False: send the sketch of the pre-attack model
-
-    def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ConfigurationError(
-                f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}"
-            )
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ConfigurationError(f"gaussian sigma must be > 0, got {self.sigma}")
-        if self.kind == "directed-deviation" and self.lam <= 0:
-            raise ConfigurationError(f"deviation scale must be > 0, got {self.lam}")
-
-
-def round_start_mean(spec: AttackSpec, honest_rows: list[np.ndarray]) -> np.ndarray | None:
-    """The honest models' mean at round start, for the attacks that read
-    it (directed-deviation), else None without reading a row. Training
-    overwrites the rows, so the engine calls this before it trains."""
-    return _mean(honest_rows) if spec.kind == "directed-deviation" else None
-
-
-def colluding_vector(spec: AttackSpec, honest_trained: list[np.ndarray],
-                     start_mean: np.ndarray | None) -> np.ndarray | None:
-    """What every directed-deviation attacker sends this round: the honest
-    trained models' mean, in node-id order, minus lam times the sign of its
-    move from `start_mean`, what `round_start_mean` gave for the same
-    nodes. Built once a round and read-only, so attackers on several
-    threads only copy it; None without reading a row for any other attack."""
-    if spec.kind != "directed-deviation":
-        return None
-    mean = _mean(honest_trained)
-    step = np.sign(mean - start_mean)
-    step *= spec.lam
-    mean -= step  # bitwise mean - lam * sign(mean - start_mean)
-    mean.flags.writeable = False
-    return mean
+class Attack(NamedTuple):  # a row of ATTACKS, as the module docstring describes it
+    start: Callable | None
+    shared: Callable | None
+    send: Callable
 
 
 def _mean(rows: list[np.ndarray]) -> np.ndarray:
@@ -67,41 +39,65 @@ def _mean(rows: list[np.ndarray]) -> np.ndarray:
     return total / len(rows)
 
 
-def apply_attack(
-    spec: AttackSpec,
-    honest_update: np.ndarray,
-    colluding: np.ndarray | None,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Model an attacker transmits in place of its honest update, written
-    into `out` (a C-contiguous float64 vector that is not the honest
-    update), which is returned.
+def _colluding(spec: AttackSpec, honest_trained: list[np.ndarray],
+               start_mean: np.ndarray) -> np.ndarray:
+    """The honest trained models' mean, in node-id order, minus lam times the
+    sign of its move from `start_mean`; read-only, so attackers only copy it."""
+    mean = _mean(honest_trained)
+    step = np.sign(mean - start_mean)
+    step *= spec.lam
+    mean -= step  # bitwise mean - lam * sign(mean - start_mean)
+    mean.flags.writeable = False
+    return mean
 
-    gaussian: independent noise per attacker, never reading `colluding`.
-    directed-deviation: a copy of `colluding`, what `colluding_vector`
-    built this round, ignoring both the honest update and the rng.
-    kind="none" has nothing to apply (the engine runs no attack phase for
-    it) and is refused.
-    """
-    if spec.kind == "none":
-        raise ConfigurationError("attack kind 'none' has no transmission to apply")
-    if spec.kind == "directed-deviation":
-        np.copyto(out, colluding)
-        return out
+
+def _noise(spec: AttackSpec, honest_update, shared, rng: np.random.Generator, out) -> None:
     # bitwise honest_update + sigma * standard_normal(shape)
     rng.standard_normal(out=out)
     out *= spec.sigma
     out += honest_update
+
+
+ATTACKS = {
+    "gaussian": Attack(None, None, _noise),
+    "directed-deviation": Attack(lambda spec, rows: _mean(rows), _colluding,
+                                 lambda spec, update, shared, rng, out: np.copyto(out, shared)),
+}
+ATTACK_KINDS = ("none", *ATTACKS)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    kind: str = "none"
+    sigma: float = 1.0            # gaussian: noise std per coordinate
+    lam: float = 2.0              # directed-deviation: step against the honest direction
+    consistent_sketch: bool = True  # False: send the sketch of the pre-attack model
+
+    def __post_init__(self) -> None:
+        if self.kind != "none" and self.kind not in ATTACKS:
+            raise ConfigurationError(
+                f"unknown attack kind {self.kind!r}, expected one of {('none', *ATTACKS)}"
+            )
+        if self.kind == "gaussian" and self.sigma <= 0:
+            raise ConfigurationError(f"gaussian sigma must be > 0, got {self.sigma}")
+        if self.kind == "directed-deviation" and self.lam <= 0:
+            raise ConfigurationError(f"deviation scale must be > 0, got {self.lam}")
+
+
+def apply_attack(spec: AttackSpec, honest_update: np.ndarray, shared: np.ndarray | None,
+                 rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Model an attacker transmits in place of its honest update, written by
+    its kind's row into `out` (a C-contiguous float64 vector that is not the
+    honest update), which is returned; `shared` is what the row's `shared`
+    built this round, or None. kind="none" has no row and is refused."""
+    if (row := ATTACKS.get(spec.kind)) is None:
+        raise ConfigurationError(f"attack kind {spec.kind!r} has no transmission to apply")
+    row.send(spec, honest_update, shared, rng, out)
     return out
 
 
-def attacker_message(
-    spec: AttackSpec,
-    params: SketchParams,
-    transmitted_model: np.ndarray,
-    own_sketch: Sketch,
-) -> Sketch:
+def attacker_message(spec: AttackSpec, params: SketchParams, transmitted_model: np.ndarray,
+                     own_sketch: Sketch) -> Sketch:
     """Sketch an attacker advertises beside its transmitted model under a
     sketch protocol.
 

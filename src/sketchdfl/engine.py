@@ -22,7 +22,7 @@ evaluation reads the shards in place. So no phase allocates another (n, d)
 array, or a row per attacker, or a copy of the honest shards.
 A run with threads > 1 keeps one pool of min(threads, n_nodes) threads
 open throughout, and sketching, the attack phase (one item per attacker,
-after directed-deviation's colluding vector is built, read-only), the
+after the attack row's shared vector is built, read-only), the
 pair table and settlement all run through its map; the hash family is
 built before it first maps. While it is open numpy's OpenBLAS is held at
 one thread, so no idle BLAS worker spins on a core the pool needs. Phases are
@@ -34,12 +34,13 @@ byte-identical whatever the thread budget.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -56,7 +57,7 @@ from .aggregation import (
     sketch_filter,
     gamma_eff,
 )
-from .attacks import AttackSpec, apply_attack, attacker_message, colluding_vector, round_start_mean
+from .attacks import ATTACKS, AttackSpec, apply_attack, attacker_message
 from .errors import ConfigurationError
 from .io import CSV_COLUMNS
 from .learning import (
@@ -113,6 +114,14 @@ class SimConfig:
     seeds: Seeds = field(default_factory=Seeds)
 
     def __post_init__(self) -> None:
+        # every float field, nested specs' too, walked as config's schema is:
+        # a nan or inf passes range checks but no emitted config replays it
+        specs = {"": self} | {f"{f.name}.": getattr(self, f.name) for f in fields(self)
+                              if is_dataclass(f.default_factory)}
+        for prefix, spec in specs.items():
+            for f in fields(spec):
+                if f.type == "float" and not math.isfinite(value := getattr(spec, f.name)):
+                    raise ConfigurationError(f"{prefix}{f.name} must be finite, got {value}")
         if self.n_nodes < 2:
             raise ConfigurationError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if not 0 <= self.byz_fraction <= 0.8:
@@ -383,15 +392,14 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
     models = np.empty((config.n_nodes, task.dim))  # (n, d), one row per node
     models[...] = task.init_model(node_stream(config.seeds.training, 0, 0, tag=0xC0))
     spare = np.empty_like(models)
-    attacking = bool(byz) and config.attack.kind != "none"
+    threat = ATTACKS.get(config.attack.kind) if byz else None  # the attack's row, if any
 
     if rule.layout:
         # vector ids: j is what node j sends, and n + i the trained vector
         # attacker i screens with. Every node's pool is its own id, then
         # its neighbours'; a star measures only the first id against the
         # others, and each node reads its row, a pool its whole submatrix.
-        own = [config.n_nodes + i if attacking and i in byz_set else i
-               for i in range(config.n_nodes)]
+        own = [config.n_nodes + i if threat and i in byz_set else i for i in range(config.n_nodes)]
         pairs = PairTable({i: [own[i], *graph.neighbors[i]] for i in range(config.n_nodes)},
                           star=rule.layout == "star", parts=workers)
         near = pairs.row if rule.layout == "star" else pairs.submatrix
@@ -401,8 +409,8 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
 
     metrics: list[RoundMetrics] = []
     for t in range(config.rounds):
-        if attacking:  # read before training overwrites the round-start rows
-            start_mean = round_start_mean(config.attack, [models[i] for i in honest])
+        if threat:  # read before training overwrites the round-start rows
+            state = threat.start and threat.start(config.attack, [models[i] for i in honest])
         trained = local_update(
             task, models, data.features, data.labels,
             config.lr, config.local_epochs, config.batch_size,
@@ -423,8 +431,9 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
         own_sketch = (list(pmap(lambda v: compute_sketch(params, v), trained)) if rule.sketch
                       else [None] * config.n_nodes)
         tx_sketch = list(own_sketch)
-        if attacking:
-            colluding = colluding_vector(config.attack, [trained[i] for i in honest], start_mean)
+        if threat:
+            shared = threat.shared and threat.shared(config.attack,
+                                                     [trained[i] for i in honest], state)
 
             def attack(j: int) -> tuple[np.ndarray, Sketch | None, bool]:
                 """Attacker j's transmission, written into its own row of
@@ -432,7 +441,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
                 read it; under sketches also the sketch it advertises and
                 whether the pair passes the sender check."""
                 sent = apply_attack(
-                    config.attack, trained[j], colluding,
+                    config.attack, trained[j], shared,
                     node_stream(config.seeds.attack, t, j, tag=2),
                     out=mixed[j],
                 )
@@ -446,7 +455,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
 
             for j, (sent, message, passed) in zip(byz, pmap(attack, byz)):
                 transmit[j], tx_sketch[j], verified[j] = sent, message, passed
-            del colluding, start_mean  # directed-deviation's round state
+            del shared, state  # the attack's round state
 
         if rule.layout:
             vectors = ([s.values for s in (*tx_sketch, *own_sketch)] if rule.sketch
@@ -458,7 +467,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             whose transmission mixed[i] holds until every receiver has read
             it, into its trained row, which only it reads; returns the rule's
             selection, its survivors of the sender check, and the fallback."""
-            dest = trained[i] if attacking and i in byz_set else mixed[i]
+            dest = trained[i] if threat and i in byz_set else mixed[i]
             own, sent = (own_sketch[i], tx_sketch) if rule.sketch else (trained[i], transmit)
             accepted, fallback = rule.select(own, {j: sent[j] for j in graph.neighbors[i]},
                                              near(sq, i) if rule.layout else None, config, t)
@@ -469,7 +478,7 @@ def _simulate(config: SimConfig, run_id: str | None, data: FederatedData | None,
             return accepted, survivors, fallback
 
         accepted, survivors, fallback = zip(*pmap(settle, range(config.n_nodes)))
-        if attacking:
+        if threat:
             for j in byz:  # row by row: mixed[byz] = trained[byz] gathers a copy first
                 mixed[j] = trained[j]
         models, spare = mixed, trained

@@ -212,8 +212,8 @@ def build_topology(spec: TopologySpec, n: int, seed: int = 0) -> Graph:
 
 
 def sample_byzantine_nodes(n: int, fraction: float, seed: int) -> list[int]:
-    """Sorted ids of round(n * fraction) compromised nodes, at most n - 1
-    so at least one honest node always remains."""
+    """Sorted ids of floor(n * fraction + 0.5) compromised nodes (halves round
+    up), at most n - 1 so at least one honest node always remains."""
     if not 0 <= fraction <= 1:
         raise ConfigurationError(f"byzantine fraction must be in [0, 1], got {fraction}")
     count = min(int(np.floor(n * fraction + 0.5)), n - 1)

@@ -18,13 +18,36 @@ import numpy as np
 from sketchdfl.engine import SimConfig, node_stream
 from sketchdfl.learning import generate_federated_data, local_update, make_task
 from sketchdfl.learning import test_error_rate as error_rate  # dodge collection
-from sketchdfl.sketch import SketchParams, compute_sketch, default_sketch_width
+from sketchdfl.sketch import SketchParams, compute_sketch, default_sketch_width, derive_hash
 from sketchdfl.topology import build_topology, sample_byzantine_nodes
 
 
 def dist(a: np.ndarray, b: np.ndarray | float = 0.0) -> float:
     """||a - b||, or ||a|| without b."""
     return np.sqrt(np.sum((a - b) ** 2))
+
+
+def family(cfg: SimConfig, d: int) -> SketchParams:
+    """The run's hash family."""
+    agg = cfg.aggregator
+    seed = cfg.seeds.sketch if agg.sketch_seed is None else agg.sketch_seed
+    return SketchParams(d, agg.sketch_size or default_sketch_width(d), seed)
+
+
+def nullspace(params: SketchParams) -> np.ndarray:
+    """20 times a vector whose count sketch is exactly 0: in each bucket the
+    coordinates pair up in ascending order, the first of a pair set to its
+    sign and the second to minus its sign, so each pair folds to 1 - 1; a
+    bucket's odd coordinate out stays 0."""
+    v, unpaired = np.zeros(params.dim), {}
+    for i in range(params.dim):
+        bucket, sign = derive_hash(params, i)
+        if bucket in unpaired:
+            first, first_sign = unpaired.pop(bucket)
+            v[first], v[i] = 20.0 * first_sign, -20.0 * sign
+        else:
+            unpaired[bucket] = i, sign
+    return v
 
 
 @dataclass
@@ -44,8 +67,7 @@ def simulate(cfg: SimConfig) -> Reference:
     d, k = task.dim, 0
     sketching = kind == "sketchfilter"
     if sketching:
-        seed = cfg.seeds.sketch if agg.sketch_seed is None else agg.sketch_seed
-        params = SketchParams(d, agg.sketch_size or default_sketch_width(d), seed)
+        params = family(cfg, d)
         k = params.width
 
         def sketch(v: np.ndarray) -> np.ndarray:
@@ -69,6 +91,8 @@ def simulate(cfg: SimConfig) -> Reference:
                 sent[j] = trained[j] + attack.sigma * noise
             elif attack.kind == "directed-deviation":
                 sent[j] = mean - attack.lam * np.sign(mean - start_mean)
+            elif attack.kind == "nullspace":  # a row the tests inject into attacks.ATTACKS
+                sent[j] = trained[j] + nullspace(family(cfg, d))
         if sketching:
             own = [sketch(v) for v in trained]
             advertised = [sketch(v) for v in sent] if attack.consistent_sketch else own

@@ -7,13 +7,7 @@ import pytest
 import sketchdfl.attacks as attacks
 import sketchdfl.engine as engine
 from sketchdfl.aggregation import AggregatorSpec
-from sketchdfl.attacks import (
-    AttackSpec,
-    apply_attack,
-    attacker_message,
-    colluding_vector,
-    round_start_mean,
-)
+from sketchdfl.attacks import ATTACKS, AttackSpec, apply_attack, attacker_message
 from sketchdfl.engine import SimConfig, run_simulation
 from sketchdfl.errors import ConfigurationError
 from sketchdfl.learning import TaskSpec
@@ -32,10 +26,16 @@ def honest_rows(dim, m):
     return honest_models(rng, m, dim), honest_models(rng, m, dim)
 
 
+def shared_vector(spec, trained, start):
+    """What the engine builds from spec's row in one round: start's state
+    from the round-start rows, then the shared vector from the trained ones."""
+    row = ATTACKS[spec.kind]
+    return row.shared(spec, trained, row.start(spec, start))
+
+
 def colluding(dim=20, m=4, lam=2.0):
     spec = AttackSpec(kind="directed-deviation", lam=lam)
-    trained, start = honest_rows(dim, m)
-    return colluding_vector(spec, trained, round_start_mean(spec, start))
+    return shared_vector(spec, *honest_rows(dim, m))
 
 
 class Sealed:
@@ -130,7 +130,7 @@ def test_directed_deviation_formula_and_collusion():
 def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
     trained, start = honest_rows(dim, m)
     spec = AttackSpec(kind="directed-deviation", lam=0.3)
-    c = colluding_vector(spec, trained, round_start_mean(spec, start))
+    c = shared_vector(spec, trained, start)
     out = apply_attack(spec, np.zeros(dim), c, np.random.default_rng(0), np.empty(dim))
     mean_now = np.stack(trained).mean(axis=0)
     direction = mean_now - np.stack(start).mean(axis=0)
@@ -141,55 +141,50 @@ def test_directed_deviation_matches_stacked_mean_bitwise(m, dim):
         c[0] = 0.0
 
 
-class Unreadable(list):
-    """Rows that must never be read."""
-
-    def __iter__(self):
-        raise AssertionError("round-start rows were read")
-
-    def __getitem__(self, index):
-        raise AssertionError("round-start rows were read")
-
-
 @pytest.mark.parametrize("m, dim", [(3, 5), (14, 1280)])
 def test_round_start_mean_is_read_only_by_directed_deviation(m, dim):
-    trained, start = honest_rows(dim, m)
-    for kind in ("none", "gaussian"):
-        assert round_start_mean(AttackSpec(kind=kind), Unreadable(start)) is None
-        assert colluding_vector(AttackSpec(kind=kind), Unreadable(trained), None) is None
-    got = round_start_mean(AttackSpec(kind="directed-deviation"), start)
+    # kind="none" has no row, and of the rows only directed-deviation's has
+    # a start or a shared part; the engine reads no row for a missing part
+    # (test_engine_builds_collusion_state_only_for_directed_deviation)
+    _, start = honest_rows(dim, m)
+    assert "none" not in ATTACKS
+    assert [kind for kind, row in ATTACKS.items() if row.start or row.shared] == [
+        "directed-deviation"]
+    got = ATTACKS["directed-deviation"].start(AttackSpec(kind="directed-deviation"), start)
     assert got.tobytes() == np.stack(start).mean(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian"])
 def test_independent_attacks_never_read_collusion_state(kind):
-    w = np.arange(20.0)
-    apply_attack(AttackSpec(kind=kind), w, Sealed(), np.random.default_rng(0), np.empty(20))
+    w, spec = np.arange(20.0), AttackSpec(kind=kind)
+    apply_attack(spec, w, Sealed(), np.random.default_rng(0), np.empty(20))
+    ATTACKS[kind].send(spec, w, Sealed(), np.random.default_rng(0), np.empty(20))
 
 
 def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
-    # one round-start mean, one trained mean and one read-only colluding
-    # vector a round, all taken before any attacker runs, and every
-    # attacker of the round handed that same vector, however many threads
-    # run the attackers; other attacks take no mean and are handed None
+    # one round-start mean, one trained mean and one read-only shared vector
+    # a round, all taken before any attacker runs, and every attacker of
+    # the round handed that same vector, however many threads run the
+    # attackers; gaussian takes no mean, builds nothing and is handed None
     events, vectors = [], []
-    mean, build, attack = attacks._mean, engine.colluding_vector, engine.apply_attack
+    mean, attack = attacks._mean, engine.apply_attack
+    row = ATTACKS["directed-deviation"]
 
     def counted(rows):
         events.append(("mean", len(rows)))
         return mean(rows)
 
     def built(*args):
-        vectors.append(build(*args))
+        vectors.append(row.shared(*args))
         events.append("build")
         return vectors[-1]
 
-    def attacked(spec, update, colluding, *args, **kwargs):
-        events.append(("attack", colluding is vectors[-1]))
-        return attack(spec, update, colluding, *args, **kwargs)
+    def attacked(spec, update, shared, *args, **kwargs):
+        events.append(("attack", shared is (vectors[-1] if vectors else None)))
+        return attack(spec, update, shared, *args, **kwargs)
 
     monkeypatch.setattr(attacks, "_mean", counted)
-    monkeypatch.setattr(engine, "colluding_vector", built)
+    monkeypatch.setitem(ATTACKS, "directed-deviation", row._replace(shared=built))
     monkeypatch.setattr(engine, "apply_attack", attacked)
     config = SimConfig(
         task=TaskSpec(kind="quadratic", features=8, samples_per_client=16, test_samples=16),
@@ -207,13 +202,13 @@ def test_engine_builds_collusion_state_only_for_directed_deviation(monkeypatch):
         events.clear()
         vectors.clear()
         run_simulation(replace(config, threads=threads))
-        assert events == ["build", *attackers] * config.rounds
-        assert vectors == [None] * config.rounds
+        assert events == attackers * config.rounds
+        assert vectors == []
         events.clear()
-        vectors.clear()
         run_simulation(replace(config, threads=threads,
                                attack=AttackSpec(kind="directed-deviation")))
         assert events == [("mean", 3), ("mean", 3), "build", *attackers] * config.rounds
+        assert len(vectors) == config.rounds
         assert not any(v.flags.writeable for v in vectors)
 
 
