@@ -8,10 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
-from .config import emit_config, parse_config
+from .config import emit_config, grid, parse_config
 from .engine import metrics_rows, run_simulation, sweep
 from .errors import (
     ConfigurationError,
@@ -27,6 +26,10 @@ EXIT_INVARIANT = 3
 EXIT_DIVERGENCE = 4
 # most values a --byz LO:HI:STEP range, or a --seeds count, may expand to
 MAX_RANGE_VALUES = 10_000
+# the keys every sweep run sets itself: the fraction, and each seed that
+# engine.derive_seeds re-keys from the master (seeds.sketch it keeps)
+SWEPT_KEYS = ("run.byz_fraction", "seeds.data", "seeds.topology", "seeds.byzantine",
+              "seeds.training", "seeds.attack")
 
 
 def _parse_fractions(text: str) -> list[float]:
@@ -80,8 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="results/run")
     run_p.add_argument("--run-id", default=None)
 
-    sweep_p = sub.add_parser("sweep", help="byzantine-fraction sweep with seed replicates")
+    sweep_p = sub.add_parser("sweep", help="config grid x byzantine fractions x seed replicates")
     sweep_p.add_argument("--config", required=True)
+    sweep_p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V1,V2",
+                         help="one grid axis over a config key's values (repeatable)")
     sweep_p.add_argument("--byz", required=True, help="LO:HI:STEP or comma list")
     sweep_p.add_argument("--seeds", default="3", help="replicate count or comma list of master seeds")
     sweep_p.add_argument("--out", default="results/sweep")
@@ -115,36 +120,41 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config(args.config)
+    cells = grid(parse_config(args.config), args.set, SWEPT_KEYS)
     fractions = _parse_fractions(args.byz)
     masters = _parse_masters(args.seeds)
     out = _out_dir(args.out)
-    rows, manifests = sweep(config, fractions, masters)
+    rows, manifests = sweep([("".join(f"-{label}" for label in labels), config)
+                             for labels, config in cells], fractions, masters)
     write_metrics_csv(out / "sweep.csv", rows)
     write_manifest(out / "manifests.json", {"runs": manifests})
-    print(
-        f"sweep: {len(fractions)} fractions x {len(masters)} seeds = "
-        f"{len(fractions) * len(masters)} runs, {len(rows)} rows"
-    )
+    runs = len(cells) * len(fractions) * len(masters)
+    print(f"sweep: {len(cells)} cells x {len(fractions)} fractions x {len(masters)} seeds = "
+          f"{runs} runs, {len(rows)} rows")
     print(f"wrote {out / 'sweep.csv'}")
+    # mean final-round error over the masters, one column per cell: each
+    # run's rows end where the next run's round 0 starts, and runs come
+    # cell-major, then fraction, then master
+    finals = [row[4] for row, later in zip(rows, [*rows[1:], None]) if later is None or later[3] == 0]
+    blocks = [finals[k:k + len(masters)] for k in range(0, len(finals), len(masters))]
+    names = ["/".join(label.split("=", 1)[1] for label in labels) or "mean_ter"
+             for labels, _ in cells]
+    print()
+    print("byz_frac  " + "  ".join(f"{name:>12s}" for name in names))
+    for f, frac in enumerate(fractions):
+        means = [sum(block) / len(block) for block in blocks[f::len(fractions)]]
+        print(f"{frac:8.2f}  " + "  ".join(f"{mean:12.4f}" for mean in means))
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
     }
-    return exit_code(lambda: handlers[args.command](args))
-
-
-def exit_code(command: Callable[[], int]) -> int:
-    """What `command` returns, or the exit code of the package error it
-    raises, after reporting the error on stderr."""
     try:
-        return command()
+        return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

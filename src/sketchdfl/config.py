@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields as dataclass_fields, is_dataclass
+from dataclasses import fields as dataclass_fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -133,6 +133,42 @@ def parse_config(path: str | Path) -> SimConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, origin=str(path))
+
+
+def grid(config: SimConfig, settings: list[str],
+         reserved: tuple[str, ...]) -> list[tuple[tuple[str, ...], SimConfig]]:
+    """Config's cells under `SECTION.KEY=V1,V2` settings: one per combination
+    of their values, the first setting outermost, each with its
+    `section.key=value` labels. Every value is read by its key's converter
+    and applied with dataclasses.replace, so each cell is checked as the INI
+    would be. A key in `reserved`, unknown or given twice is refused."""
+    cells: list[tuple[tuple[str, ...], SimConfig]] = [((), config)]
+    seen: set[str] = set()
+    for setting in settings:
+        name, _, text = setting.partition("=")
+        section, _, key = name.strip().partition(".")
+        key = key.lower()  # as configparser reads keys
+        path = f"{section}.{key}"
+        if path in reserved:
+            raise ConfigurationError(f"--set {path}: the sweep sets this key itself")
+        if key not in _SCHEMA.get(section, {}):
+            raise ConfigurationError(f"--set: unknown key {path} (expected SECTION.KEY=V1,V2)")
+        if path in seen:
+            raise ConfigurationError(f"--set {path} given twice")
+        seen.add(path)
+        field_name, convert = _SCHEMA[section][key]
+        values = [raw.strip() for raw in text.split(",") if raw.strip()]
+        if not values:
+            raise ConfigurationError(f"--set {path} lists no value")
+        cells = [(labels + (f"{path}={raw}",), _with(cfg, section, field_name, convert(raw, path)))
+                 for labels, cfg in cells for raw in values]
+    return cells
+
+
+def _with(config: SimConfig, section: str, name: str, value) -> SimConfig:
+    if section == "run":
+        return replace(config, **{name: value})
+    return replace(config, **{section: replace(getattr(config, section), **{name: value})})
 
 
 def emit_config(config: SimConfig) -> str:

@@ -559,14 +559,19 @@ def derive_seeds(master: int, sketch_seed: int = Seeds.sketch) -> Seeds:
 
 
 def sweep(
-    config: SimConfig,
+    cells: SimConfig | list[tuple[str, SimConfig]],
     fractions: list[float],
     masters: list[int],
 ) -> tuple[list[tuple], list[dict]]:
-    """One run per (fraction, master seed); returns CSV-ready rows and the
-    per-run manifests, fraction-major. Rows carry the master seed, not the
-    derived ones. Every fraction of a master draws the same data seed, so
-    each listed master's data is generated once and shared by its runs."""
+    """One run per (cell, fraction, master seed); returns CSV-ready rows and
+    the per-run manifests, cell-major, then fraction, then master. `cells`
+    lists (run-id suffix, config) pairs; a bare config is one cell with no
+    suffix. Rows carry the master seed, not the derived ones. Every run of
+    a master draws the same data seed, so its data is generated once per
+    distinct (task, node count) and shared by those cells' runs, one
+    master's data alive at a time."""
+    if isinstance(cells, SimConfig):
+        cells = [("", cells)]
     if not fractions:
         raise ConfigurationError("sweep needs at least one byzantine fraction")
     for frac in fractions:
@@ -574,21 +579,26 @@ def sweep(
             raise ConfigurationError(f"sweep fraction {frac} outside [0, 0.8]")
     if not masters:
         raise ConfigurationError("sweep needs at least one master seed")
-    # cells[f][s] holds (manifest, rows) of fractions[f] x masters[s], by
-    # position, so duplicate entries stay separate runs
-    cells: list[list] = [[None] * len(masters) for _ in fractions]
+    # results[c, f, s] holds (manifest, rows) by position, so duplicate
+    # entries stay separate runs
+    results: dict[tuple[int, int, int], tuple] = {}
     for s, master in enumerate(masters):
-        seeds = derive_seeds(master, config.seeds.sketch)
-        data = generate_federated_data(config.task, config.n_nodes, seeds.data)
-        for f, frac in enumerate(fractions):
-            cfg = replace(config, byz_fraction=frac, seeds=seeds)
-            run_id = f"{cfg.aggregator.kind}-{cfg.attack.kind}-b{frac:g}-m{master}"
-            result = run_simulation(cfg, run_id=run_id, data=data)
-            cells[f][s] = (result.manifest, metrics_rows(run_id, master, frac, result.metrics))
+        data = {}  # (task, node count) -> this master's data
+        for c, (suffix, config) in enumerate(cells):
+            seeds = derive_seeds(master, config.seeds.sketch)
+            key = (config.task, config.n_nodes)
+            if key not in data:
+                data[key] = generate_federated_data(*key, seeds.data)
+            for f, frac in enumerate(fractions):
+                cfg = replace(config, byz_fraction=frac, seeds=seeds)
+                run_id = f"{cfg.aggregator.kind}-{cfg.attack.kind}-b{frac:g}-m{master}{suffix}"
+                result = run_simulation(cfg, run_id=run_id, data=data[key])
+                results[c, f, s] = (result.manifest,
+                                    metrics_rows(run_id, master, frac, result.metrics))
         del data  # one master's data alive at a time
-    manifests = [manifest for row in cells for manifest, _ in row]
-    rows = [r for row in cells for _, cell_rows in row for r in cell_rows]
-    return rows, manifests
+    ordered = [results[c, f, s] for c in range(len(cells))
+               for f in range(len(fractions)) for s in range(len(masters))]
+    return [r for _, rows in ordered for r in rows], [manifest for manifest, _ in ordered]
 
 
 def metrics_rows(run_id: str, seed: int, byz_fraction: float, metrics: list[RoundMetrics]) -> list[tuple]:

@@ -1,9 +1,8 @@
 """CLI subcommands, argument parsing and exit codes."""
 import json
 import re
-import subprocess
-import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,8 +21,10 @@ from sketchdfl.cli import (
     _parse_masters,
     main,
 )
-from sketchdfl.config import parse_config_text
+from sketchdfl.config import _SCHEMA, parse_config, parse_config_text
+from sketchdfl.engine import sweep
 from sketchdfl.errors import ConfigurationError
+from sketchdfl.io import metrics_csv_text
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -309,68 +310,102 @@ def test_unknown_command_is_rejected():
 
 
 def test_readme_names_only_commands_that_exist(capsys):
-    # a subcommand at the start of a code line or inside backticks, and any scripts/*.py path
+    # a subcommand at the start of a code line or inside backticks, and any
+    # --set SECTION.KEY, which must be a key of the config file
     text = README.read_text()
     commands = set(re.findall(r"(?:^|`)sketchdfl ([a-z][\w-]*)", text, re.MULTILINE))
-    scripts = set(re.findall(r"\bscripts/[\w./-]+\.py", text))
-    assert commands and scripts, "the patterns no longer find the README's commands"
+    assert commands, "the pattern no longer finds the README's commands"
     for command in sorted(commands):
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0, f"README names unknown subcommand {command!r}"
-    assert [s for s in sorted(scripts) if not (README.parent / s).is_file()] == []
+    keys = set(re.findall(r"--set ([a-z_]+)\.([a-z_]+)=", text))  # not the SECTION.KEY placeholder
+    assert [f"{s}.{k}" for s, k in sorted(keys) if k not in _SCHEMA.get(s, {})] == []
 
 
-def _robustness_sweep(*args, config=ROOT / "configs" / "robustness.ini"):
-    # the script reaches the private cli._parse_fractions, so run it whole
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "robustness_sweep.py"),
-         "--config", str(config), *args],
-        capture_output=True, text=True, timeout=300,
-    )
+ROBUSTNESS_INI = ROOT / "configs" / "robustness.ini"
 
 
-def test_robustness_sweep_script_writes_a_csv_per_aggregator_and_a_table(tmp_path):
-    out = tmp_path / "rob"
-    done = _robustness_sweep("--fractions", "0,0.2", "--seeds", "1",
-                             "--aggregators", "sketchfilter,balance", "--out", str(out))
-    assert done.returncode == 0, done.stderr
+def test_sweep_set_writes_rows_and_a_table_column_per_value(tmp_path, capsys):
+    out = tmp_path / "grid"
+    code = main(["sweep", "--config", str(ROBUSTNESS_INI), "--set", "aggregator.kind=sketchfilter,balance",
+                 "--byz", "0,0.2", "--seeds", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    lines = (out / "sweep.csv").read_text().splitlines()
+    base = parse_config(ROBUSTNESS_INI)
     for kind in ("sketchfilter", "balance"):
-        # 2 fractions x 1 seed x 10 rounds, under a header
-        assert len((out / f"metrics_{kind}.csv").read_text().splitlines()) == 1 + 20
-    table = done.stdout.split("byz_frac", 1)[1].splitlines()[1:]  # the rows under the header
+        # 2 fractions x 2 seeds x 10 rounds: the rows of a one-kind sweep,
+        # equal in every column but the run id, which names the cell
+        mine = [line.split(",", 1) for line in lines[1:] if
+                line.split(",", 1)[0].endswith(f"-aggregator.kind={kind}")]
+        alone = sweep(replace(base, aggregator=replace(base.aggregator, kind=kind)), [0.0, 0.2], [0, 1])[0]
+        expected = metrics_csv_text(alone).splitlines()[1:]
+        assert len(mine) == len(expected) == 40
+        assert [rest for _, rest in mine] == [line.split(",", 1)[1] for line in expected]
+        assert [run_id for run_id, _ in mine] == [f"{line.split(',', 1)[0]}-aggregator.kind={kind}"
+                                                for line in expected]
+    stdout = capsys.readouterr().out
+    assert "2 cells x 2 fractions x 2 seeds = 8 runs" in stdout
+    header, *table = stdout.split("byz_frac", 1)[1].splitlines()  # the rows under the header
+    assert header.split() == ["sketchfilter", "balance"]
     assert [row.split()[0] for row in table] == ["0.00", "0.20"]
 
 
-def test_robustness_sweep_script_runs_every_aggregator_by_default(tmp_path):
-    out = tmp_path / "rob"
-    done = _robustness_sweep("--fractions", "0", "--seeds", "1", "--out", str(out))
-    assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in out.glob("metrics_*.csv")) == sorted(
-        f"metrics_{kind}.csv" for kind in AGGREGATOR_KINDS)
-    header = done.stdout.split("byz_frac", 1)[1].splitlines()[0]
+def test_sweep_set_runs_every_listed_kind(tmp_path, capsys):
+    out = tmp_path / "grid"
+    code = main(["sweep", "--config", str(ROBUSTNESS_INI), "--set",
+                 "aggregator.kind=" + ",".join(AGGREGATOR_KINDS), "--byz", "0", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    runs = json.loads((out / "manifests.json").read_text())["runs"]
+    assert [run["config"]["aggregator"]["kind"] for run in runs] == list(AGGREGATOR_KINDS)
+    header = capsys.readouterr().out.split("byz_frac", 1)[1].splitlines()[0]
     assert header.split() == list(AGGREGATOR_KINDS)
 
 
-@pytest.mark.parametrize("names, message", [
-    ("sketchfilter,median", "unknown aggregator 'median'"),  # after a valid name
-    (" , ", "--aggregators names no aggregator"),
-])
-def test_robustness_sweep_script_config_error_exits_2_before_any_run(tmp_path, names, message):
-    out = tmp_path / "rob"
-    done = _robustness_sweep("--aggregators", names, "--out", str(out))
-    assert done.returncode == EXIT_CONFIG
-    assert done.stderr.startswith(f"configuration error: {message}")
-    assert "Traceback" not in done.stderr
-    assert done.stdout == "" and not out.exists()
+@pytest.mark.parametrize("sets, message", [
+    (["aggregator.kind=sketchfilter,median"], "unknown aggregator 'median'"),  # after a valid name
+    (["aggregator.kind= , "], "--set aggregator.kind lists no value"),
+    # the sweep sets these per run; seeds.sketch, which derive_seeds keeps, stays settable
+    (["run.byz_fraction=0.1"], "--set run.byz_fraction: the sweep sets this key itself"),
+    (["seeds.data=7"], "--set seeds.data: the sweep sets this key itself"),
+    (["aggregator.gama=1"], "--set: unknown key aggregator.gama"),
+    (["run.lr=0.1", "run.LR=0.2"], "--set run.lr given twice"),
+], ids=["unknown-kind", "no-value", "byz-fraction", "data-seed", "unknown-key", "key-twice"])
+def test_sweep_set_config_error_exits_2_before_any_run(tmp_path, capsys, monkeypatch, sets,
+                                                        message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking every cell")
+
+    monkeypatch.setattr(engine, "run_simulation", refuse)
+    out = tmp_path / "grid"
+    argv = ["sweep", "--config", str(ROBUSTNESS_INI), "--byz", "0", "--seeds", "1", "--out", str(out)]
+    for setting in sets:
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
-def test_robustness_sweep_script_unbuildable_topology_exits_3(tmp_path):
+def test_sweep_set_unbuildable_topology_exits_3(tmp_path, capsys):
     # p this small never yields a connected graph within the attempt budget
     cfg = tmp_path / "sparse.ini"
     cfg.write_text("[topology]\nkind = erdos-renyi\np = 0.001\n\n[run]\nnodes = 20\nrounds = 1\n")
-    done = _robustness_sweep("--fractions", "0", "--seeds", "1", "--aggregators", "balance",
-                             "--out", str(tmp_path / "rob"), config=cfg)
-    assert done.returncode == EXIT_INVARIANT
-    assert done.stderr.startswith("invariant violation: no connected Erdos-Renyi graph")
-    assert "Traceback" not in done.stderr
+    code = main(["sweep", "--config", str(cfg), "--set", "aggregator.kind=balance", "--byz", "0",
+                 "--seeds", "1", "--out", str(tmp_path / "grid")])
+    assert code == EXIT_INVARIANT
+    assert capsys.readouterr().err.startswith("invariant violation: no connected Erdos-Renyi graph")
+
+
+def test_sweep_set_threads_changes_only_the_run_id(tmp_path):
+    out = tmp_path / "grid"
+    code = main(["sweep", "--config", str(tiny_file(tmp_path)), "--set", "run.threads=1,3",
+                 "--byz", "0,0.4", "--seeds", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = [line.split(",", 1) for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    one, three = rows[:len(rows) // 2], rows[len(rows) // 2:]
+    assert len(one) == 2 * 2 * 2
+    assert all(run_id.endswith("-run.threads=1") for run_id, _ in one)
+    assert [rest for _, rest in one] == [rest for _, rest in three]

@@ -191,7 +191,7 @@ class _SerialExecutor:
 
     def __init__(self, max_workers):
         self.max_workers, self.maps, self.blas_at_exit = max_workers, [], None
-        self.calls: list[tuple[str, list]] = []
+        self.calls: list[list] = []  # each map's items
         self.log.append(self)
 
     def __enter__(self):
@@ -203,7 +203,7 @@ class _SerialExecutor:
     def map(self, fn, items):
         items = list(items)
         self.maps.append(len(items))
-        self.calls.append((fn.__name__, items))
+        self.calls.append(items)
         order = list(range(len(items)))
         if self.shuffle is not None:
             self.shuffle.shuffle(order)
@@ -229,6 +229,12 @@ def serial_pool(monkeypatch):
 # maps a round of an attacking run makes: sketching (sketch aggregators),
 # the attack phase, the pair table (screening aggregators) and settlement
 _POOLED_PHASES = {"sketchfilter": 4, "balance": 3, "dfedavg": 2, "krum": 3}
+
+
+def _maps_over(pool, ids: list[int]) -> int:
+    """How many of the pool's maps ran over exactly the node ids `ids`; the
+    maps of sketching and the pair table hold arrays and parts, not ids."""
+    return sum(all(type(x) is int for x in items) and items == ids for items in pool.calls)
 
 
 def _attacked_config(kind, attack=AttackSpec(kind="gaussian", consistent_sketch=False),
@@ -265,8 +271,8 @@ def test_pooled_run_builds_one_executor_and_joins_it_before_restoring_blas(seria
         assert pool.max_workers == 3
         assert len(pool.maps) == cfg.rounds * _POOLED_PHASES[kind], kind
         byz = sample_byzantine_nodes(cfg.n_nodes, cfg.byz_fraction, cfg.seeds.byzantine)
-        assert byz and [items for name, items in pool.calls if name == "attack"] == (
-            [byz] * cfg.rounds), kind
+        # the attack phase maps the Byzantine ids, once a round
+        assert byz and _maps_over(pool, byz) == cfg.rounds, kind
         assert pool.blas_at_exit == 1 and serial_pool.blas == [3]
         run_simulation(replace(cfg, threads=1))
         assert len(serial_pool.log) == 1
@@ -285,7 +291,9 @@ def test_runs_without_an_attack_map_no_attack_phase(serial_pool):
             run_simulation(cfg)
             [pool] = serial_pool.log
             assert len(pool.maps) == cfg.rounds * (_POOLED_PHASES[kind] - 1), kind
-            assert "attack" not in {name for name, _ in pool.calls}, kind
+            probe = _attacked_config(kind)  # the ids that attack at byz 0.3
+            byz = sample_byzantine_nodes(probe.n_nodes, probe.byz_fraction, probe.seeds.byzantine)
+            assert byz and _maps_over(pool, byz) == 0, kind
 
 
 def test_pooled_run_builds_its_hash_family_before_the_first_map(serial_pool, monkeypatch):
@@ -1023,6 +1031,36 @@ def test_sweep_generates_each_listed_masters_data_once(monkeypatch):
     assert [r[:3] for r in rows] == [
         (f"sketchfilter-none-b{frac:g}-m{m}", m, frac) for frac in (0.0, 0.2, 0.4) for m in masters
     ]
+
+
+def test_sweep_shares_a_masters_data_among_cells_of_one_task_and_node_count(monkeypatch):
+    made = []
+
+    def generate(spec, n_clients, seed):
+        # the previous master's data is freed
+        assert all(ref() is None for ref, s in made if s != seed)
+        data = real(spec, n_clients, seed)
+        made.append((weakref.ref(data), seed))
+        return data
+
+    real = engine.generate_federated_data
+    monkeypatch.setattr(engine, "generate_federated_data", generate)
+    cfg = tiny_config(rounds=1)
+    cells = [("-a", cfg), ("-b", replace(cfg, n_nodes=7)),
+             ("-c", replace(cfg, aggregator=AggregatorSpec(kind="balance")))]
+    rows, manifests = sweep(cells, [0.0, 0.4], [3, 4])
+    assert len(made) == 2 * 2  # masters x distinct (task, node count)
+    kinds = {"-a": "sketchfilter", "-b": "sketchfilter", "-c": "balance"}
+    assert [r[0] for r in rows] == [
+        f"{kinds[suffix]}-none-b{frac:g}-m{m}{suffix}"
+        for suffix in kinds for frac in (0.0, 0.4) for m in (3, 4)
+    ]
+    # each cell's runs are the runs of that config swept alone
+    for suffix, config in cells:
+        alone, alone_manifests = sweep(config, [0.0, 0.4], [3, 4])
+        assert [r[1:] for r in rows if r[0].endswith(suffix)] == [r[1:] for r in alone]
+        assert [{**m, "run_id": None} for m in manifests if m["run_id"].endswith(suffix)] == [
+            {**m, "run_id": None} for m in alone_manifests]
 
 
 def test_run_rejects_data_generated_for_another_config():
